@@ -292,7 +292,10 @@ proptest! {
                 let mut prev_counter = 0u64;
                 let mut prev_hist_total = 0u64;
                 let mut rounds = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                // Do-while: take at least one snapshot before looking at
+                // `stop`, so workers that finish first cannot leave the
+                // loop body unrun.
+                loop {
                     let s = reg.snapshot();
                     let ops = s.counter("ops").expect("ops registered");
                     let hist_total: u64 = s
@@ -313,6 +316,9 @@ proptest! {
                     prev_counter = ops;
                     prev_hist_total = hist_total;
                     rounds += 1;
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 rounds
             })
