@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use duel_bench::try_eval_lines;
 use duel_core::EvalOptions;
 use duel_target::{
-    CacheConfig, CachedTarget, ChaosTarget, CircuitState, RetryPolicy, RetryTarget, SimTarget,
+    CacheConfig, CachedTarget, CircuitState, FaultTarget, RetryPolicy, RetryTarget, SimTarget,
     SupervisedTarget, SupervisorConfig, Target,
 };
 
@@ -138,7 +138,7 @@ fn measure_recovery() -> Recovery {
         sleep: false,
         ..RetryPolicy::default()
     };
-    let chaos = ChaosTarget::new(scan_scenario());
+    let chaos = FaultTarget::gate(scan_scenario());
     let handle = chaos.handle();
     let mut cached = CachedTarget::with_config(chaos, CacheConfig::default());
     // Every read must touch the wire, or the cache would hide the

@@ -15,11 +15,10 @@ use std::time::{Duration, Instant};
 use duel_core::{DuelError, EvalOptions, EvalStats, Session, SymMode, Value};
 use duel_minic::{Debugger, StopReason};
 use duel_target::{
-    chrome_trace_json, folded_stacks, scenario, AsyncTarget, CacheConfig, CacheStats, CachedTarget,
-    ChaosHandle, ChaosTarget, CircuitState, FlameWeight, MetaCapture, MetaSnapshot, MetaTarget,
-    MetricsRegistry, MetricsSnapshot, PipelineStats, RecordTarget, ReplayMode, ReplayTarget,
-    ResyncReport, RetryStats, RetryTarget, SimTarget, SpanContext, SpanSnapshot, SupervisedTarget,
-    SupervisorStats, Target, TargetResult, TraceHandle, TraceStats, TraceTarget,
+    chrome_trace_json, folded_stacks, scenario, AsyncTarget, CacheConfig, CachedTarget,
+    ChaosHandle, FaultTarget, FlameWeight, MetaCapture, MetaSnapshot, MetaTarget, MetricsRegistry,
+    MetricsSnapshot, RecordTarget, ReplayMode, ReplayTarget, RetryTarget, SimTarget, SpanContext,
+    SpanSnapshot, SupervisedTarget, Target, TraceHandle, TraceStats, TraceTarget,
 };
 
 /// The REPL's decorator tower: tracing outermost (so its counters see
@@ -27,14 +26,19 @@ use duel_target::{
 /// supervisor next (circuit breaker, degraded stale reads, reconnect —
 /// it watches the *retried* failure stream, so one window entry per
 /// operation), retry under it, the page cache over the flight recorder,
-/// the recorder directly over the backend. Record sits *innermost* so a
-/// capture holds the calls that actually reached the backend — cache
+/// the recorder directly over the debuggee. Record sits *innermost* so
+/// a capture holds the calls that actually reached the backend — cache
 /// hits never hollow it out — and it is a pure passthrough until
 /// `.record` arms it.
 type Tower<T> = TraceTarget<SupervisedTarget<RetryTarget<CachedTarget<RecordTarget<T>>>>>;
 
-pub(crate) enum Backend {
-    /// Simulated debuggees carry a chaos gate innermost so `.chaos`
+/// The cache layer of the REPL's tower and everything below it.
+type Cache = CachedTarget<RecordTarget<Debuggee>>;
+
+/// What the REPL debugs: the innermost layer of its one tower, handing
+/// every call to whichever backend is loaded.
+pub(crate) enum Debuggee {
+    /// Simulated debuggees carry a fault gate innermost so `.chaos`
     /// can kill/hang/garble the "wire" under the whole tower, and an
     /// I/O actor ([`AsyncTarget`]) between the recorder and the gate
     /// so `.set pipeline on` can move the wire onto a worker thread.
@@ -42,144 +46,60 @@ pub(crate) enum Backend {
     /// live the gate itself is owned by the worker and unreachable
     /// from this thread (the handle is `Arc`-shared, so it still
     /// steers it).
-    Sim(Box<Tower<AsyncTarget<ChaosTarget<SimTarget>>>>, ChaosHandle),
-    Minic(Box<Tower<Debugger>>),
-    Replay(Box<Tower<ReplayTarget>>),
+    Sim(AsyncTarget<FaultTarget<SimTarget>>, ChaosHandle),
+    Minic(Debugger),
+    Replay(ReplayTarget),
 }
 
-impl Backend {
-    fn target_mut(&mut self) -> &mut dyn Target {
+impl duel_target::Layer for Debuggee {
+    type Inner = dyn Target;
+
+    fn below(&self) -> &(dyn Target + 'static) {
         match self {
-            Backend::Sim(t, _) => &mut **t,
-            Backend::Minic(d) => &mut **d,
-            Backend::Replay(r) => &mut **r,
+            Debuggee::Sim(t, _) => t,
+            Debuggee::Minic(d) => d,
+            Debuggee::Replay(r) => r,
         }
     }
 
-    fn trace(&self) -> TraceHandle {
+    fn below_mut(&mut self) -> &mut (dyn Target + 'static) {
         match self {
-            Backend::Sim(t, _) => t.handle(),
-            Backend::Minic(d) => d.handle(),
-            Backend::Replay(r) => r.handle(),
+            Debuggee::Sim(t, _) => t,
+            Debuggee::Minic(d) => d,
+            Debuggee::Replay(r) => r,
         }
     }
+}
 
-    /// The causal span context of the tower's trace layer (replaced
-    /// together with the backend by `.scenario`/`.load`/`.replay`).
-    fn spans(&self) -> SpanContext {
-        match self {
-            Backend::Sim(t, _) => t.spans(),
-            Backend::Minic(d) => d.spans(),
-            Backend::Replay(r) => r.spans(),
-        }
+impl Debuggee {
+    /// A simulated debuggee behind its fault gate and I/O actor.
+    fn sim(t: SimTarget) -> Debuggee {
+        let gate = FaultTarget::gate(t);
+        let chaos = gate.handle();
+        Debuggee::Sim(AsyncTarget::new(gate), chaos)
     }
 
-    fn retry_stats(&self) -> RetryStats {
-        match self {
-            Backend::Sim(t, _) => t.inner().inner().stats(),
-            Backend::Minic(d) => d.inner().inner().stats(),
-            Backend::Replay(r) => r.inner().inner().stats(),
-        }
+    /// Builds the REPL's tower over this debuggee.
+    fn tower(self, cache: bool) -> Box<Tower<Debuggee>> {
+        let cfg = CacheConfig {
+            enabled: cache,
+            ..CacheConfig::default()
+        };
+        Box::new(TraceTarget::with_label(
+            SupervisedTarget::new(RetryTarget::new(CachedTarget::with_config(
+                RecordTarget::new(self),
+                cfg,
+            ))),
+            "session",
+        ))
     }
 
-    fn cache_stats(&self) -> &CacheStats {
+    /// The backend label written into capture headers.
+    fn label(&self) -> &'static str {
         match self {
-            Backend::Sim(t, _) => t.inner().inner().inner().stats(),
-            Backend::Minic(d) => d.inner().inner().inner().stats(),
-            Backend::Replay(r) => r.inner().inner().inner().stats(),
-        }
-    }
-
-    fn resident_page_count(&self) -> usize {
-        match self {
-            Backend::Sim(t, _) => t.inner().inner().inner().resident_page_count(),
-            Backend::Minic(d) => d.inner().inner().inner().resident_page_count(),
-            Backend::Replay(r) => r.inner().inner().inner().resident_page_count(),
-        }
-    }
-
-    fn set_cache(&mut self, on: bool) {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().inner_mut().inner_mut().set_enabled(on),
-            Backend::Minic(d) => d.inner_mut().inner_mut().inner_mut().set_enabled(on),
-            Backend::Replay(r) => r.inner_mut().inner_mut().inner_mut().set_enabled(on),
-        }
-    }
-
-    // ----- supervision (the layer under trace) ---------------------------
-
-    fn circuit_state(&self) -> CircuitState {
-        match self {
-            Backend::Sim(t, _) => t.inner().state(),
-            Backend::Minic(d) => d.inner().state(),
-            Backend::Replay(r) => r.inner().state(),
-        }
-    }
-
-    fn supervise_stats(&self) -> SupervisorStats {
-        match self {
-            Backend::Sim(t, _) => t.inner().stats(),
-            Backend::Minic(d) => d.inner().stats(),
-            Backend::Replay(r) => r.inner().stats(),
-        }
-    }
-
-    fn degrade_enabled(&self) -> bool {
-        match self {
-            Backend::Sim(t, _) => t.inner().config().degrade,
-            Backend::Minic(d) => d.inner().config().degrade,
-            Backend::Replay(r) => r.inner().config().degrade,
-        }
-    }
-
-    fn set_degrade(&mut self, on: bool) {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().set_degrade(on),
-            Backend::Minic(d) => d.inner_mut().set_degrade(on),
-            Backend::Replay(r) => r.inner_mut().set_degrade(on),
-        }
-    }
-
-    fn health_check(&mut self) -> TargetResult<()> {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().health_check(),
-            Backend::Minic(d) => d.inner_mut().health_check(),
-            Backend::Replay(r) => r.inner_mut().health_check(),
-        }
-    }
-
-    fn force_reconnect(&mut self) -> TargetResult<ResyncReport> {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().force_reconnect(),
-            Backend::Minic(d) => d.inner_mut().force_reconnect(),
-            Backend::Replay(r) => r.inner_mut().force_reconnect(),
-        }
-    }
-
-    fn last_resync(&self) -> Option<ResyncReport> {
-        match self {
-            Backend::Sim(t, _) => t.inner().last_resync().cloned(),
-            Backend::Minic(d) => d.inner().last_resync().cloned(),
-            Backend::Replay(r) => r.inner().last_resync().cloned(),
-        }
-    }
-
-    fn last_failure(&self) -> Option<String> {
-        match self {
-            Backend::Sim(t, _) => t.inner().last_failure().map(str::to_string),
-            Backend::Minic(d) => d.inner().last_failure().map(str::to_string),
-            Backend::Replay(r) => r.inner().last_failure().map(str::to_string),
-        }
-    }
-
-    /// Arms (or clears) the per-command wall-clock deadline on the
-    /// retry layer, so backoff sleeps can never overshoot the eval
-    /// timeout budget by a full backoff ceiling.
-    fn set_op_deadline(&mut self, deadline: Option<Instant>) {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().inner_mut().set_op_deadline(deadline),
-            Backend::Minic(d) => d.inner_mut().inner_mut().set_op_deadline(deadline),
-            Backend::Replay(r) => r.inner_mut().inner_mut().set_op_deadline(deadline),
+            Debuggee::Sim(..) => "sim",
+            Debuggee::Minic(_) => "minic",
+            Debuggee::Replay(_) => "replay",
         }
     }
 
@@ -188,7 +108,15 @@ impl Backend {
     /// lives on this thread (inline) or inside the I/O actor.
     fn chaos(&self) -> Option<ChaosHandle> {
         match self {
-            Backend::Sim(_, h) => Some(h.clone()),
+            Debuggee::Sim(_, h) => Some(h.clone()),
+            _ => None,
+        }
+    }
+
+    /// The replay target, when this is a replay session.
+    fn replay(&self) -> Option<&ReplayTarget> {
+        match self {
+            Debuggee::Replay(r) => Some(r),
             _ => None,
         }
     }
@@ -200,123 +128,12 @@ impl Backend {
     /// actor would buy nothing) stay inline.
     fn set_pipeline(&mut self, on: bool) -> bool {
         match self {
-            Backend::Sim(t, _) => {
-                t.inner_mut()
-                    .inner_mut()
-                    .inner_mut()
-                    .inner_mut()
-                    .inner_mut()
-                    .set_async(on);
+            Debuggee::Sim(t, _) => {
+                t.set_async(on);
                 true
             }
             _ => false,
         }
-    }
-
-    /// Live counters of the pipeline layer, when the tower has one.
-    fn pipeline_stats(&self) -> Option<PipelineStats> {
-        match self {
-            Backend::Sim(t, _) => t.pipeline_handle().map(|h| h.stats()),
-            Backend::Minic(d) => d.pipeline_handle().map(|h| h.stats()),
-            Backend::Replay(r) => r.pipeline_handle().map(|h| h.stats()),
-        }
-    }
-
-    /// The backend label written into capture headers.
-    fn label(&self) -> &'static str {
-        match self {
-            Backend::Sim(..) => "sim",
-            Backend::Minic(_) => "minic",
-            Backend::Replay(_) => "replay",
-        }
-    }
-
-    /// Arms the flight recorder. The page cache is invalidated first so
-    /// the capture starts cold: a capture that begins against a warm
-    /// cache would be missing the reads a cold replay re-issues.
-    fn record_start(&mut self, path: &str, scenario: &str) -> std::io::Result<()> {
-        let label = self.label();
-        fn go<T: Target>(
-            cache: &mut CachedTarget<RecordTarget<T>>,
-            path: &str,
-            label: &str,
-            scenario: &str,
-        ) -> std::io::Result<()> {
-            cache.invalidate_all();
-            cache.inner_mut().start_file(path, label, scenario)
-        }
-        match self {
-            Backend::Sim(t, _) => go(t.inner_mut().inner_mut().inner_mut(), path, label, scenario),
-            Backend::Minic(d) => go(d.inner_mut().inner_mut().inner_mut(), path, label, scenario),
-            Backend::Replay(r) => go(r.inner_mut().inner_mut().inner_mut(), path, label, scenario),
-        }
-    }
-
-    /// Finalizes the capture (footer + flush); returns events written.
-    fn record_stop(&mut self) -> std::io::Result<u64> {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().inner_mut().inner_mut().inner_mut().stop(),
-            Backend::Minic(d) => d.inner_mut().inner_mut().inner_mut().inner_mut().stop(),
-            Backend::Replay(r) => r.inner_mut().inner_mut().inner_mut().inner_mut().stop(),
-        }
-    }
-
-    /// (recording?, events written, sticky sink error).
-    fn record_info(&self) -> (bool, u64, Option<String>) {
-        fn info<T: Target>(r: &RecordTarget<T>) -> (bool, u64, Option<String>) {
-            (
-                r.is_recording(),
-                r.events_recorded(),
-                r.last_error().map(str::to_string),
-            )
-        }
-        match self {
-            Backend::Sim(t, _) => info(t.inner().inner().inner().inner()),
-            Backend::Minic(d) => info(d.inner().inner().inner().inner()),
-            Backend::Replay(r) => info(r.inner().inner().inner().inner()),
-        }
-    }
-
-    /// The replay target, when this backend is a replay session.
-    fn replay(&self) -> Option<&ReplayTarget> {
-        match self {
-            Backend::Replay(r) => Some(r.inner().inner().inner().inner().inner()),
-            _ => None,
-        }
-    }
-
-    fn cache_config(enabled: bool) -> CacheConfig {
-        CacheConfig {
-            enabled,
-            ..CacheConfig::default()
-        }
-    }
-
-    fn tower<T: Target>(t: T, cache: bool) -> Tower<T> {
-        TraceTarget::with_label(
-            SupervisedTarget::new(RetryTarget::new(CachedTarget::with_config(
-                RecordTarget::new(t),
-                Backend::cache_config(cache),
-            ))),
-            "session",
-        )
-    }
-
-    fn sim(t: SimTarget, cache: bool) -> Backend {
-        let gate = ChaosTarget::new(t);
-        let chaos = gate.handle();
-        Backend::Sim(
-            Box::new(Backend::tower(AsyncTarget::new(gate), cache)),
-            chaos,
-        )
-    }
-
-    fn minic(d: Debugger, cache: bool) -> Backend {
-        Backend::Minic(Box::new(Backend::tower(d, cache)))
-    }
-
-    fn replay_backend(r: ReplayTarget, cache: bool) -> Backend {
-        Backend::Replay(Box::new(Backend::tower(r, cache)))
     }
 }
 
@@ -325,7 +142,7 @@ impl Backend {
 /// appends its output to a sink, so the whole command surface is unit
 /// testable.
 pub struct Repl {
-    backend: Backend,
+    backend: Box<Tower<Debuggee>>,
     aliases: HashMap<String, Value>,
     options: EvalOptions,
     last_stats: EvalStats,
@@ -527,7 +344,7 @@ impl Repl {
     /// state (`--no-cache` passes `cache_enabled = false`).
     pub fn with_config(options: EvalOptions, cache_enabled: bool) -> Repl {
         Repl {
-            backend: Backend::sim(scenario::combined(), cache_enabled),
+            backend: Debuggee::sim(scenario::combined()).tower(cache_enabled),
             aliases: HashMap::new(),
             options,
             last_stats: EvalStats::default(),
@@ -543,17 +360,55 @@ impl Repl {
         }
     }
 
+    /// The cache layer of the tower (over the recorder and debuggee).
+    fn cache(&self) -> &Cache {
+        self.backend.inner().inner().inner()
+    }
+
+    fn cache_mut(&mut self) -> &mut Cache {
+        self.backend.inner_mut().inner_mut().inner_mut()
+    }
+
+    fn debuggee(&self) -> &Debuggee {
+        self.cache().inner().inner()
+    }
+
+    fn debuggee_mut(&mut self) -> &mut Debuggee {
+        self.cache_mut().inner_mut().inner_mut()
+    }
+
+    /// Arms the flight recorder. The page cache is invalidated first so
+    /// the capture starts cold: a capture that begins against a warm
+    /// cache would be missing the reads a cold replay re-issues.
+    fn record_start(&mut self, path: &str, scenario: &str) -> std::io::Result<()> {
+        let label = self.debuggee().label();
+        let cache = self.cache_mut();
+        cache.invalidate_all();
+        cache.inner_mut().start_file(path, label, scenario)
+    }
+
+    /// (recording?, events written, sticky sink error).
+    fn record_info(&self) -> (bool, u64, Option<String>) {
+        let r = self.cache().inner();
+        (
+            r.is_recording(),
+            r.events_recorded(),
+            r.last_error().map(str::to_string),
+        )
+    }
+
     /// Reapplies every sticky toggle to a freshly built backend tower
     /// (tracing, span tracing, degrade mode, ring capacities) and
     /// resets the wire watermark — the new trace handle counts from
     /// zero, so stale watermarks would produce negative deltas.
     fn apply_sticky(&mut self) {
-        self.backend.trace().set_enabled(self.trace_enabled);
-        self.backend.set_degrade(self.degrade_enabled);
-        self.backend.set_pipeline(self.pipeline_enabled);
+        self.backend.handle().set_enabled(self.trace_enabled);
+        self.backend.inner_mut().set_degrade(self.degrade_enabled);
+        let on = self.pipeline_enabled;
+        self.debuggee_mut().set_pipeline(on);
         self.backend.spans().set_enabled(self.spans_enabled);
         if let Some(n) = self.trace_buf {
-            self.backend.trace().set_capacity(n);
+            self.backend.handle().set_capacity(n);
             self.backend.spans().set_capacity(n);
         }
         self.wire_seen.clear();
@@ -599,7 +454,7 @@ impl Repl {
             .add(s.pipeline_overlap_ns);
         m.histogram("eval.ticks_per_command").observe(s.ticks);
         m.histogram("eval.values_per_command").observe(s.values);
-        let snap = self.backend.trace().snapshot();
+        let snap = self.backend.handle().snapshot();
         let mut wire_ns = 0u64;
         let mut wire_calls = 0u64;
         for o in &snap.ops {
@@ -631,7 +486,7 @@ impl Repl {
     /// The target-call trace handle of the current backend tower (the
     /// `--trace-json` exporter reads it; replaced by `.scenario`/`.load`).
     pub fn trace_handle(&self) -> TraceHandle {
-        self.backend.trace()
+        self.backend.handle()
     }
 
     /// The chaos gate of the simulated backend (`None` for mini-C and
@@ -639,7 +494,7 @@ impl Repl {
     /// against the full tower without going through `.chaos` text
     /// commands.
     pub fn chaos_handle(&self) -> Option<ChaosHandle> {
-        self.backend.chaos()
+        self.debuggee().chaos()
     }
 
     /// Moves the wire on or off the I/O actor thread (the
@@ -648,14 +503,14 @@ impl Repl {
     /// layer — mini-C and replay sessions stay inline.
     pub fn set_pipeline(&mut self, on: bool) -> bool {
         self.pipeline_enabled = on;
-        self.backend.set_pipeline(on)
+        self.debuggee_mut().set_pipeline(on)
     }
 
     /// Turns target-call tracing on or off (the `.trace on|off`
     /// command; sticky across `.scenario`/`.load`).
     pub fn set_tracing(&mut self, on: bool) {
         self.trace_enabled = on;
-        self.backend.trace().set_enabled(on);
+        self.backend.handle().set_enabled(on);
     }
 
     /// Exports the trace as a JSON document (the `--trace-json FILE`
@@ -667,12 +522,12 @@ impl Repl {
             "{{\"schema_version\":1,\"name\":\"duel_trace\",\
              \"config\":{{\"backend\":\"{}\",\"scenario\":\"{}\",\"cache\":{}}},\
              \"metrics\":{{\"layers\":[{}]}}}}",
-            self.backend.label(),
+            self.debuggee().label(),
             self.scenario_label
                 .replace('\\', "\\\\")
                 .replace('"', "\\\""),
             self.cache_enabled,
-            self.backend.trace().to_json("session")
+            self.backend.handle().to_json("session")
         )
     }
 
@@ -680,7 +535,7 @@ impl Repl {
     /// flag and `.set trace_buf N`; sticky across backend swaps).
     pub fn set_trace_buf(&mut self, n: usize) {
         self.trace_buf = Some(n);
-        self.backend.trace().set_capacity(n);
+        self.backend.handle().set_capacity(n);
         self.backend.spans().set_capacity(n);
     }
 
@@ -690,7 +545,7 @@ impl Repl {
     pub fn perfetto_json(&self) -> String {
         chrome_trace_json(
             &self.backend.spans().snapshot(),
-            &self.backend.trace().recent_events(usize::MAX),
+            &self.backend.handle().recent_events(usize::MAX),
         )
     }
 
@@ -700,10 +555,10 @@ impl Repl {
     /// reports, capture files, and `--trace-json` all follow.
     pub fn stats_json(&self) -> String {
         let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let c = self.backend.cache_stats();
-        let r = self.backend.retry_stats();
-        let sup = self.backend.supervise_stats();
-        let t = self.backend.trace().snapshot();
+        let c = self.cache().stats();
+        let r = self.backend.inner().inner().stats();
+        let sup = self.backend.inner().stats();
+        let t = self.backend.handle().snapshot();
         let spans = self.backend.spans().snapshot();
         let s = &self.last_stats;
         let mut members = vec![
@@ -736,7 +591,7 @@ impl Repl {
             format!("\"spans_open\":{}", spans.open.len()),
             format!("\"spans_dropped\":{}", spans.dropped),
         ];
-        if let Some(p) = self.backend.pipeline_stats() {
+        if let Some(p) = self.backend.pipeline_handle().map(|h| h.stats()) {
             members.push(format!("\"pipeline_async\":{}", p.async_on));
             members.push(format!("\"pipeline_submits\":{}", p.submits));
             members.push(format!("\"pipeline_completions\":{}", p.completions));
@@ -756,7 +611,7 @@ impl Repl {
              \"prefetch\":{},\"pipeline\":{},\"degrade\":{},\"trace\":{},\"spans\":{},\
              \"trace_buf\":{},\"span_buf\":{}}},\
              \"metrics\":{{{}}}}}",
-            self.backend.label(),
+            self.debuggee().label(),
             esc(&self.scenario_label),
             self.cache_enabled,
             self.options.prefetch,
@@ -764,7 +619,7 @@ impl Repl {
             self.degrade_enabled,
             self.trace_enabled,
             self.spans_enabled,
-            self.backend.trace().capacity(),
+            self.backend.handle().capacity(),
             self.backend.spans().capacity(),
             members.join(",")
         )
@@ -788,7 +643,7 @@ impl Repl {
         };
         render_top_report(
             spans.as_ref(),
-            &self.backend.trace().snapshot(),
+            &self.backend.handle().snapshot(),
             &self.metrics.snapshot(),
             10,
             out,
@@ -809,14 +664,14 @@ impl Repl {
     pub fn meta_snapshot(&self) -> MetaSnapshot {
         MetaSnapshot {
             spans: self.backend.spans().snapshot(),
-            events: self.backend.trace().recent_events(usize::MAX),
+            events: self.backend.handle().recent_events(usize::MAX),
             metrics: self.metrics.snapshot(),
-            cache: self.backend.cache_stats().clone(),
-            resident_pages: self.backend.resident_page_count() as u64,
-            retry: self.backend.retry_stats(),
-            supervise: self.backend.supervise_stats(),
-            circuit: self.backend.circuit_state(),
-            capture: self.backend.replay().map(|r| MetaCapture {
+            cache: self.cache().stats().clone(),
+            resident_pages: self.cache().resident_page_count() as u64,
+            retry: self.backend.inner().inner().stats(),
+            supervise: self.backend.inner().stats(),
+            circuit: self.backend.inner().state(),
+            capture: self.debuggee().replay().map(|r| MetaCapture {
                 backend: r.backend_label().to_string(),
                 scenario: r.scenario_label().to_string(),
                 events: r.events_total() as u64,
@@ -862,13 +717,16 @@ impl Repl {
         } else {
             None
         };
-        self.backend.set_op_deadline(deadline);
+        self.backend
+            .inner_mut()
+            .inner_mut()
+            .set_op_deadline(deadline);
     }
 
     fn eval(&mut self, line: &str, out: &mut String) {
         self.arm_op_deadline();
         let session = Session::with_state(
-            self.backend.target_mut(),
+            &mut *self.backend,
             std::mem::take(&mut self.aliases),
             self.options.clone(),
         );
@@ -891,7 +749,7 @@ impl Repl {
             let _ = writeln!(out, "| {line}");
         }
         self.aliases = session.into_aliases();
-        self.backend.set_op_deadline(None);
+        self.backend.inner_mut().inner_mut().set_op_deadline(None);
         self.feed_metrics();
     }
 
@@ -901,7 +759,7 @@ impl Repl {
     fn profile(&mut self, explain: bool, expr: &str, out: &mut String) {
         self.arm_op_deadline();
         let mut session = Session::with_state(
-            self.backend.target_mut(),
+            &mut *self.backend,
             std::mem::take(&mut self.aliases),
             self.options.clone(),
         );
@@ -925,15 +783,15 @@ impl Repl {
         }
         self.last_stats = session.last_stats();
         self.aliases = session.into_aliases();
-        self.backend.set_op_deadline(None);
+        self.backend.inner_mut().inner_mut().set_op_deadline(None);
         self.feed_metrics();
     }
 
     /// Finalizes an in-flight recording before the backend (and with it
     /// the armed `RecordTarget`) is replaced, and tells the user.
     fn note_recording_dropped(&mut self, out: &mut String) {
-        if self.backend.record_info().0 {
-            match self.backend.record_stop() {
+        if self.record_info().0 {
+            match self.cache_mut().inner_mut().stop() {
                 Ok(n) => {
                     let _ = writeln!(out, "recording finalized ({n} events): backend replaced");
                 }
@@ -969,7 +827,7 @@ impl Repl {
                 };
                 if let Some(t) = t {
                     self.note_recording_dropped(out);
-                    self.backend = Backend::sim(t, self.cache_enabled);
+                    self.backend = Debuggee::sim(t).tower(self.cache_enabled);
                     self.apply_sticky();
                     self.aliases.clear();
                     self.scenario_label = if arg.is_empty() { "combined" } else { arg }.to_string();
@@ -980,7 +838,7 @@ impl Repl {
                 Ok(src) => match Debugger::new(&src) {
                     Ok(d) => {
                         self.note_recording_dropped(out);
-                        self.backend = Backend::minic(d, self.cache_enabled);
+                        self.backend = Debuggee::Minic(d).tower(self.cache_enabled);
                         self.apply_sticky();
                         self.aliases.clear();
                         self.scenario_label = arg.to_string();
@@ -1002,7 +860,7 @@ impl Repl {
             ".ast" => {
                 let expr = line.split_once(' ').map(|x| x.1).unwrap_or("");
                 let mut session = Session::with_state(
-                    self.backend.target_mut(),
+                    &mut *self.backend,
                     std::mem::take(&mut self.aliases),
                     self.options.clone(),
                 );
@@ -1048,7 +906,7 @@ impl Repl {
                         String::new()
                     }
                 );
-                let c = self.backend.cache_stats();
+                let c = self.cache().stats();
                 let _ = writeln!(
                     out,
                     "cache: {} ({} page hits, {} misses, {} backend reads, {} bytes over the wire)",
@@ -1069,9 +927,9 @@ impl Repl {
                     if self.options.prefetch { "on" } else { "off" },
                     self.last_stats.prefetch_calls,
                     self.last_stats.prefetch_ranges,
-                    self.backend.trace().calls(duel_target::TraceOp::MultiRead)
+                    self.backend.handle().calls(duel_target::TraceOp::MultiRead)
                 );
-                match self.backend.pipeline_stats() {
+                match self.backend.pipeline_handle().map(|h| h.stats()) {
                     Some(p) => {
                         let _ = writeln!(
                             out,
@@ -1091,7 +949,7 @@ impl Repl {
                             writeln!(out, "pipeline: unavailable (this backend has no I/O actor)");
                     }
                 }
-                let r = self.backend.retry_stats();
+                let r = self.backend.inner().inner().stats();
                 let _ = writeln!(
                     out,
                     "retry: {} operations, {} retries, {} give-ups, {} backoff",
@@ -1100,25 +958,25 @@ impl Repl {
                     r.give_ups,
                     duel_target::trace::fmt_ns(r.backoff_ns)
                 );
-                let s = self.backend.supervise_stats();
+                let s = self.backend.inner().stats();
                 let _ = writeln!(
                     out,
                     "supervise: circuit {}; {} ops, {} failures, {} trips, {} reconnects, \
                      {} fast-fails, {} stale reads; degrade {}",
-                    self.backend.circuit_state().name(),
+                    self.backend.inner().state().name(),
                     s.operations,
                     s.failures,
                     s.trips,
                     s.reconnects,
                     s.fast_fails,
                     s.stale_reads,
-                    if self.backend.degrade_enabled() {
+                    if self.backend.inner().config().degrade {
                         "on"
                     } else {
                         "off"
                     }
                 );
-                let h = self.backend.trace();
+                let h = self.backend.handle();
                 let t = h.snapshot();
                 let _ = writeln!(
                     out,
@@ -1129,8 +987,8 @@ impl Repl {
                     t.events_held,
                     t.events_dropped
                 );
-                let (rec_on, rec_events, rec_err) = self.backend.record_info();
-                match self.backend.replay() {
+                let (rec_on, rec_events, rec_err) = self.record_info();
+                match self.debuggee().replay() {
                     Some(r) => {
                         let _ = writeln!(
                             out,
@@ -1159,7 +1017,7 @@ impl Repl {
                 }
             }
             ".health" => match arg {
-                "reconnect" => match self.backend.force_reconnect() {
+                "reconnect" => match self.backend.inner_mut().force_reconnect() {
                     Ok(r) => {
                         let _ = writeln!(out, "reconnected; {}", r.render());
                     }
@@ -1168,8 +1026,8 @@ impl Repl {
                     }
                 },
                 "" => {
-                    let probe = self.backend.health_check();
-                    let state = self.backend.circuit_state();
+                    let probe = self.backend.inner_mut().health_check();
+                    let state = self.backend.inner().state();
                     match probe {
                         Ok(()) => {
                             let _ = writeln!(out, "backend healthy; circuit {}", state.name());
@@ -1178,20 +1036,20 @@ impl Repl {
                             let _ = writeln!(
                                 out,
                                 "backend unhealthy: {e}; circuit {}",
-                                self.backend.circuit_state().name()
+                                self.backend.inner().state().name()
                             );
                         }
                     }
-                    let s = self.backend.supervise_stats();
+                    let s = self.backend.inner().stats();
                     let _ = writeln!(
                         out,
                         "probes: {} ({} failed); trips: {}; reconnects: {} ({} failed)",
                         s.probes, s.probe_failures, s.trips, s.reconnects, s.reconnect_failures
                     );
-                    if let Some(f) = self.backend.last_failure() {
+                    if let Some(f) = self.backend.inner().last_failure() {
                         let _ = writeln!(out, "last failure: {f}");
                     }
-                    if let Some(r) = self.backend.last_resync() {
+                    if let Some(r) = self.backend.inner().last_resync() {
                         let _ = writeln!(out, "last {}", r.render());
                     }
                 }
@@ -1199,7 +1057,7 @@ impl Repl {
                     let _ = writeln!(out, "usage: .health [reconnect] (got `{other}`)");
                 }
             },
-            ".chaos" => match self.backend.chaos() {
+            ".chaos" => match self.debuggee().chaos() {
                 None => {
                     let _ = writeln!(out, "chaos: only the simulated backend has a chaos gate");
                 }
@@ -1274,7 +1132,7 @@ impl Repl {
                 },
             },
             ".trace" => {
-                let h = self.backend.trace();
+                let h = self.backend.handle();
                 match arg {
                     "on" => {
                         self.set_tracing(true);
@@ -1428,7 +1286,7 @@ impl Repl {
             }
             ".record" => match arg {
                 "" => {
-                    let (on, events, err) = self.backend.record_info();
+                    let (on, events, err) = self.record_info();
                     if let Some(e) = err {
                         let _ = writeln!(out, "recording stopped: {e}");
                     } else if on {
@@ -1437,7 +1295,7 @@ impl Repl {
                         let _ = writeln!(out, "not recording (use `.record FILE`)");
                     }
                 }
-                "stop" => match self.backend.record_stop() {
+                "stop" => match self.cache_mut().inner_mut().stop() {
                     Ok(0) => {
                         let _ = writeln!(out, "not recording");
                     }
@@ -1450,7 +1308,7 @@ impl Repl {
                 },
                 path => {
                     let scenario = self.scenario_label.clone();
-                    match self.backend.record_start(path, &scenario) {
+                    match self.record_start(path, &scenario) {
                         Ok(()) => {
                             let _ = writeln!(out, "recording to `{path}`");
                         }
@@ -1462,7 +1320,7 @@ impl Repl {
             },
             ".replay" => {
                 if arg.is_empty() {
-                    match self.backend.replay() {
+                    match self.debuggee().replay() {
                         None => {
                             let _ = writeln!(out, "usage: .replay FILE [strict|permissive]");
                         }
@@ -1498,7 +1356,7 @@ impl Repl {
                             Ok(r) => {
                                 self.note_recording_dropped(out);
                                 let total = r.events_total();
-                                self.backend = Backend::replay_backend(r, self.cache_enabled);
+                                self.backend = Debuggee::Replay(r).tower(self.cache_enabled);
                                 self.apply_sticky();
                                 self.aliases.clear();
                                 let _ = writeln!(
@@ -1570,11 +1428,12 @@ impl Repl {
                     }
                     "cache" => {
                         self.cache_enabled = val != "off";
-                        self.backend.set_cache(self.cache_enabled);
+                        let on = self.cache_enabled;
+                        self.cache_mut().set_enabled(on);
                     }
                     "degrade" => {
                         self.degrade_enabled = val != "off";
-                        self.backend.set_degrade(self.degrade_enabled);
+                        self.backend.inner_mut().set_degrade(self.degrade_enabled);
                     }
                     "prefetch" => {
                         self.options.prefetch = val == "on";
@@ -1582,7 +1441,7 @@ impl Repl {
                     "pipeline" => {
                         let on = val == "on";
                         self.pipeline_enabled = on;
-                        if self.backend.set_pipeline(on) {
+                        if self.debuggee_mut().set_pipeline(on) {
                             let _ = writeln!(
                                 out,
                                 "pipeline {}: the wire now runs {}",
@@ -1605,7 +1464,7 @@ impl Repl {
                     "trace_buf" => match val.parse::<usize>() {
                         Ok(n) if n > 0 => {
                             self.trace_buf = Some(n);
-                            self.backend.trace().set_capacity(n);
+                            self.backend.handle().set_capacity(n);
                             self.backend.spans().set_capacity(n);
                             let _ = writeln!(
                                 out,
@@ -1631,20 +1490,30 @@ impl Repl {
     }
 
     fn debugger_command(&mut self, cmd: &str, arg: &str, out: &mut String) {
-        let tower = match &mut self.backend {
-            Backend::Minic(d) => d,
-            Backend::Sim(..) | Backend::Replay(_) => {
-                let _ = writeln!(out, "no program loaded (use `.load file.c` first)");
-                return;
+        // The cache layer wraps the recorder (which wraps the debugger)
+        // and owns invalidation.
+        let cache = self.cache_mut();
+        if !matches!(cache.inner().inner(), Debuggee::Minic(_)) {
+            let _ = writeln!(out, "no program loaded (use `.load file.c` first)");
+            return;
+        }
+        if cmd == ".frames" {
+            let n = cache.frame_count();
+            for i in 0..n {
+                if let Some(f) = cache.frame_info(i) {
+                    let line = f.line.map(|l| format!(" at line {l}")).unwrap_or_default();
+                    let _ = writeln!(out, "#{i} {}{}", f.function, line);
+                }
             }
+            return;
+        }
+        let Debuggee::Minic(dbg) = cache.inner_mut().inner_mut() else {
+            unreachable!("checked above")
         };
-        // Peel trace, supervision, and retry; the cache layer wraps the
-        // recorder (which wraps the debugger) and owns invalidation.
-        let cache = tower.inner_mut().inner_mut().inner_mut();
         match cmd {
             ".break" => match arg.parse::<u32>() {
                 Ok(n) => {
-                    cache.inner_mut().inner_mut().add_breakpoint(n);
+                    dbg.add_breakpoint(n);
                     let _ = writeln!(out, "breakpoint at line {n}");
                 }
                 Err(_) => {
@@ -1653,24 +1522,21 @@ impl Repl {
             },
             ".delete" => {
                 if let Ok(n) = arg.parse::<u32>() {
-                    cache.inner_mut().inner_mut().remove_breakpoint(n);
+                    dbg.remove_breakpoint(n);
                 }
             }
             ".breaks" => {
-                let _ = writeln!(out, "{:?}", cache.inner_mut().inner_mut().breakpoints());
+                let _ = writeln!(out, "{:?}", dbg.breakpoints());
             }
             ".watch" => {
                 if arg.is_empty() {
-                    {
-                        let _ = writeln!(out, "usage: .watch EXPR");
-                    };
+                    let _ = writeln!(out, "usage: .watch EXPR");
                 } else {
-                    cache.inner_mut().inner_mut().add_watchpoint(arg);
+                    dbg.add_watchpoint(arg);
                     let _ = writeln!(out, "watching `{arg}`");
                 }
             }
             ".run" | ".cont" => {
-                let dbg = cache.inner_mut().inner_mut();
                 let r = if cmd == ".run" { dbg.run() } else { dbg.cont() };
                 match r {
                     Ok(StopReason::Breakpoint { line }) => {
@@ -1698,7 +1564,7 @@ impl Repl {
                 cache.invalidate_all();
             }
             ".step" => {
-                match cache.inner_mut().inner_mut().step_line() {
+                match dbg.step_line() {
                     Ok(StopReason::Step { line }) => {
                         let _ = writeln!(out, "line {line}");
                     }
@@ -1713,15 +1579,6 @@ impl Repl {
                     }
                 }
                 cache.invalidate_all();
-            }
-            ".frames" => {
-                let n = cache.frame_count();
-                for i in 0..n {
-                    if let Some(f) = cache.frame_info(i) {
-                        let line = f.line.map(|l| format!(" at line {l}")).unwrap_or_default();
-                        let _ = writeln!(out, "#{i} {}{}", f.function, line);
-                    }
-                }
             }
             _ => unreachable!("dispatched by caller"),
         }
@@ -2596,7 +2453,7 @@ mod tests {
         let mut out = String::new();
         r.handle(".set degrade off", &mut out);
         r.handle(".scenario scan", &mut out);
-        assert!(!r.backend.degrade_enabled(), "degrade must stay off");
+        assert!(!r.backend.inner().config().degrade, "degrade must stay off");
         out.clear();
         r.handle(".stats", &mut out);
         assert!(out.contains("degrade off"), "{out}");

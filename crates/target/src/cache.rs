@@ -29,12 +29,9 @@
 //! cache the way real backend faults would).
 
 use crate::error::TargetResult;
-use crate::iface::{
-    CallValue, FrameInfo, OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target,
-    VarInfo,
-};
+use crate::iface::{OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target};
+use crate::layer::{Op, Reply};
 use crate::span::{SpanContext, SpanKind};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -166,6 +163,10 @@ struct PendingPrefetch {
     submitted: Instant,
 }
 
+/// The memoized answers about one name: a `((op name, frame), reply)`
+/// slot per question asked of it this epoch.
+type Memo = Vec<((&'static str, usize), Reply)>;
+
 /// A [`Target`] decorator that batches and memoizes backend traffic.
 ///
 /// See the module docs for the caching and invalidation contract.
@@ -177,15 +178,8 @@ pub struct CachedTarget<T: Target> {
     tick: u64,
     epoch: u64,
     stats: CacheStats,
-    vars: HashMap<String, Option<VarInfo>>,
-    frame_vars: HashMap<(String, usize), Option<VarInfo>>,
-    typedefs: HashMap<String, Option<TypeId>>,
-    structs: HashMap<String, Option<RecordId>>,
-    unions: HashMap<String, Option<RecordId>>,
-    enums: HashMap<String, Option<EnumId>>,
-    functions: HashMap<String, bool>,
-    frames: HashMap<usize, Option<FrameInfo>>,
-    frame_count: Option<usize>,
+    /// Memoized lookup answers, keyed by the name asked about.
+    lookups: HashMap<String, Memo>,
     /// Shared span timeline (installed by the trace layer above);
     /// miss fills and coalesced vectored fetches open `cache` spans.
     spans: Option<SpanContext>,
@@ -215,15 +209,7 @@ impl<T: Target> CachedTarget<T> {
             tick: 0,
             epoch: 0,
             stats: CacheStats::default(),
-            vars: HashMap::new(),
-            frame_vars: HashMap::new(),
-            typedefs: HashMap::new(),
-            structs: HashMap::new(),
-            unions: HashMap::new(),
-            enums: HashMap::new(),
-            functions: HashMap::new(),
-            frames: HashMap::new(),
-            frame_count: None,
+            lookups: HashMap::new(),
             spans: None,
             prefetch_pending: VecDeque::new(),
             pending_pages: std::collections::HashSet::new(),
@@ -327,15 +313,7 @@ impl<T: Target> CachedTarget<T> {
     /// a running one is not.
     pub fn invalidate_all(&mut self) {
         self.pages.clear();
-        self.vars.clear();
-        self.frame_vars.clear();
-        self.typedefs.clear();
-        self.structs.clear();
-        self.unions.clear();
-        self.enums.clear();
-        self.functions.clear();
-        self.frames.clear();
-        self.frame_count = None;
+        self.lookups.clear();
         self.epoch += 1;
         self.page_gen += 1;
         self.stats.invalidations += 1;
@@ -505,20 +483,9 @@ impl<T: Target> CachedTarget<T> {
     }
 }
 
-impl<T: Target> Target for CachedTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
-    }
-
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
-    }
-
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
+impl<T: Target> CachedTarget<T> {
+    /// A memory read through the page cache.
+    fn read(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
         if buf.is_empty() {
             return Ok(());
         }
@@ -543,7 +510,9 @@ impl<T: Target> Target for CachedTarget<T> {
         Ok(())
     }
 
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
+    /// A vectored read: every missing page in one inner vectored call,
+    /// then each range served like a scalar read.
+    fn read_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
         self.stats.multi_reads += 1;
         self.stats.multi_ranges += ranges.len() as u64;
         if !self.cfg.enabled {
@@ -637,11 +606,12 @@ impl<T: Target> Target for CachedTarget<T> {
         // to a scalar loop, minus the per-page wire turns.
         ranges
             .iter_mut()
-            .map(|r| self.get_bytes(r.addr, r.buf))
+            .map(|r| self.read(r.addr, r.buf))
             .collect()
     }
 
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
+    /// A write forwarded to the backend and patched into cached pages.
+    fn write_through(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
         let r = self.inner.put_bytes(addr, bytes);
         if !self.cfg.enabled {
             return r;
@@ -682,195 +652,106 @@ impl<T: Target> Target for CachedTarget<T> {
         }
     }
 
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        // Mapping changes; drop pages so stale "unmapped" fallbacks
-        // cannot linger. Symbols and types are unaffected.
-        let r = self.inner.alloc_space(size, align);
-        self.drop_pages();
-        r
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        // A debuggee function can write anywhere; drop all pages
-        // whether or not the call reports success.
-        let r = self.inner.call_func(name, args);
-        self.drop_pages();
-        r
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        if !self.cfg.enabled {
-            return self.inner.get_variable(name);
+    /// Whether resident pages fully cover `[addr, addr+len)`: then it
+    /// was readable when fetched, and `is_mapped` needs no probe.
+    /// Partial pages only vouch for the prefix they actually hold.
+    fn resident(&self, addr: u64, len: u64) -> bool {
+        if !self.cfg.enabled || len == 0 {
+            return false;
         }
-        if let Some(v) = self.vars.get(name) {
-            self.stats.lookup_hits += 1;
-            return v.clone();
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.get_variable(name);
-        self.vars.insert(name.to_string(), v.clone());
-        v
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        if !self.cfg.enabled {
-            return self.inner.get_variable_in_frame(name, frame);
-        }
-        let key = (name.to_string(), frame);
-        if let Some(v) = self.frame_vars.get(&key) {
-            self.stats.lookup_hits += 1;
-            return v.clone();
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.get_variable_in_frame(name, frame);
-        self.frame_vars.insert(key, v.clone());
-        v
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        if !self.cfg.enabled {
-            return self.inner.lookup_typedef(name);
-        }
-        if let Some(v) = self.typedefs.get(name) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.lookup_typedef(name);
-        self.typedefs.insert(name.to_string(), v);
-        v
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        if !self.cfg.enabled {
-            return self.inner.lookup_struct(tag);
-        }
-        if let Some(v) = self.structs.get(tag) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.lookup_struct(tag);
-        self.structs.insert(tag.to_string(), v);
-        v
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        if !self.cfg.enabled {
-            return self.inner.lookup_union(tag);
-        }
-        if let Some(v) = self.unions.get(tag) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.lookup_union(tag);
-        self.unions.insert(tag.to_string(), v);
-        v
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        if !self.cfg.enabled {
-            return self.inner.lookup_enum(tag);
-        }
-        if let Some(v) = self.enums.get(tag) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.lookup_enum(tag);
-        self.enums.insert(tag.to_string(), v);
-        v
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        if !self.cfg.enabled {
-            return self.inner.has_function(name);
-        }
-        if let Some(v) = self.functions.get(name) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.has_function(name);
-        self.functions.insert(name.to_string(), v);
-        v
-    }
-
-    fn frame_count(&mut self) -> usize {
-        if !self.cfg.enabled {
-            return self.inner.frame_count();
-        }
-        if let Some(n) = self.frame_count {
-            self.stats.lookup_hits += 1;
-            return n;
-        }
-        self.stats.lookup_misses += 1;
-        let n = self.inner.frame_count();
-        self.frame_count = Some(n);
-        n
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        if !self.cfg.enabled {
-            return self.inner.frame_info(n);
-        }
-        if let Some(f) = self.frames.get(&n) {
-            self.stats.lookup_hits += 1;
-            return f.clone();
-        }
-        self.stats.lookup_misses += 1;
-        let f = self.inner.frame_info(n);
-        self.frames.insert(n, f.clone());
-        f
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        if self.cfg.enabled && len > 0 {
-            // If resident pages fully cover the range, it was readable
-            // when fetched — answer without a probe. Partial pages
-            // only vouch for the prefix they actually hold.
-            let ps = self.cfg.page_size;
-            let first = addr & !(ps - 1);
-            let last = (addr + len - 1) & !(ps - 1);
-            let mut base = first;
-            let all_cached = loop {
-                let covered_to = base + self.pages.get(&base).map_or(0, |p| p.bytes.len() as u64);
-                let slice_end = (addr + len).min(base + ps);
-                if covered_to < slice_end {
-                    break false;
-                }
-                if base >= last {
-                    break true;
-                }
-                base += ps;
-            };
-            if all_cached {
+        let ps = self.cfg.page_size;
+        let last = (addr + len - 1) & !(ps - 1);
+        let mut base = addr & !(ps - 1);
+        loop {
+            let covered_to = base + self.pages.get(&base).map_or(0, |p| p.bytes.len() as u64);
+            if covered_to < (addr + len).min(base + ps) {
+                return false;
+            }
+            if base >= last {
                 return true;
             }
+            base += ps;
         }
-        self.inner.is_mapped(addr, len)
     }
 
-    fn take_output(&mut self) -> String {
-        self.inner.take_output()
+    /// A symbol, type or frame lookup, memoized (negative answers too)
+    /// until the next epoch.
+    fn memoized(&mut self, op: Op<'_, '_>) -> Reply {
+        let Some((name, n)) = memo_slot(&op).filter(|_| self.cfg.enabled) else {
+            return op.apply(&mut self.inner);
+        };
+        let slot = (op.name(), n);
+        if let Some((_, hit)) = self
+            .lookups
+            .get(name)
+            .and_then(|memo| memo.iter().find(|(k, _)| *k == slot))
+        {
+            self.stats.lookup_hits += 1;
+            return hit.clone();
+        }
+        self.stats.lookup_misses += 1;
+        let reply = op.apply(&mut self.inner);
+        self.lookups
+            .entry(name.to_string())
+            .or_default()
+            .push((slot, reply.clone()));
+        reply
+    }
+}
+
+/// The memo key of a cacheable lookup: the name asked about (empty for
+/// frame queries) and the frame number it was asked for. Together with
+/// the op's name it picks one memo slot.
+fn memo_slot<'a>(op: &Op<'a, '_>) -> Option<(&'a str, usize)> {
+    match *op {
+        Op::GetVariable(name)
+        | Op::LookupTypedef(name)
+        | Op::LookupStruct(name)
+        | Op::LookupUnion(name)
+        | Op::LookupEnum(name)
+        | Op::HasFunction(name) => Some((name, 0)),
+        Op::GetVariableInFrame(name, frame) => Some((name, frame)),
+        Op::FrameCount => Some(("", 0)),
+        Op::FrameInfo(n) => Some(("", n)),
+        _ => None,
+    }
+}
+
+impl<T: Target> crate::Layer for CachedTarget<T> {
+    type Inner = T;
+
+    fn below(&self) -> &T {
+        &self.inner
     }
 
-    fn trace_handle(&self) -> Option<crate::trace::TraceHandle> {
-        self.inner.trace_handle()
+    fn below_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+
+    #[inline(always)]
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        match op {
+            Op::GetBytes { addr, buf } => Reply::Done(self.read(addr, buf)),
+            Op::GetBytesMulti(ranges) => Reply::Multi(self.read_multi(ranges)),
+            Op::PutBytes { addr, bytes } => Reply::Done(self.write_through(addr, bytes)),
+            // The mapping changes, or a debuggee function can write
+            // anywhere: drop pages whether or not the op succeeded.
+            // Symbols and types are unaffected.
+            Op::AllocSpace { .. } | Op::CallFunc { .. } => {
+                let r = op.apply(&mut self.inner);
+                self.drop_pages();
+                r
+            }
+            Op::IsMapped { addr, len } => {
+                Reply::Flag(self.resident(addr, len) || self.inner.is_mapped(addr, len))
+            }
+            _ => self.memoized(op),
+        }
     }
 
     fn set_span_context(&mut self, spans: &SpanContext) {
         self.spans = Some(spans.clone());
         self.inner.set_span_context(spans);
-    }
-
-    fn span_context(&self) -> Option<SpanContext> {
-        self.inner.span_context()
-    }
-
-    fn staleness_handle(&self) -> Option<crate::supervise::StalenessHandle> {
-        self.inner.staleness_handle()
     }
 
     fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
@@ -1067,16 +948,12 @@ impl<T: Target> Target for CachedTarget<T> {
     fn cache_page_size(&self) -> Option<u64> {
         Some(self.cfg.page_size)
     }
-
-    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
-        self.inner.pipeline_handle()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario;
+    use crate::{scenario, CallValue};
 
     fn counted(cfg: CacheConfig) -> CachedTarget<crate::SimTarget> {
         CachedTarget::with_config(scenario::scan_array(), cfg)
@@ -1335,64 +1212,22 @@ mod tests {
         flake_at: u64,
     }
 
-    impl Target for FlakyProbe {
-        fn abi(&self) -> &Abi {
-            self.inner.abi()
+    impl crate::Layer for FlakyProbe {
+        type Inner = crate::SimTarget;
+        fn below(&self) -> &crate::SimTarget {
+            &self.inner
         }
-        fn types(&self) -> &TypeTable {
-            self.inner.types()
+        fn below_mut(&mut self) -> &mut crate::SimTarget {
+            &mut self.inner
         }
-        fn types_mut(&mut self) -> &mut TypeTable {
-            self.inner.types_mut()
-        }
-        fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-            self.ops += 1;
-            if self.ops == self.flake_at {
-                return Err(crate::TargetError::Backend("wire flake".into()));
+        fn call(&mut self, op: Op<'_, '_>) -> Reply {
+            if let Op::GetBytes { .. } = op {
+                self.ops += 1;
+                if self.ops == self.flake_at {
+                    return op.fail(crate::TargetError::Backend("wire flake".into()));
+                }
             }
-            self.inner.get_bytes(addr, buf)
-        }
-        fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-            self.inner.put_bytes(addr, bytes)
-        }
-        fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-            self.inner.alloc_space(size, align)
-        }
-        fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-            self.inner.call_func(name, args)
-        }
-        fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-            self.inner.get_variable(name)
-        }
-        fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-            self.inner.get_variable_in_frame(name, frame)
-        }
-        fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-            self.inner.lookup_typedef(name)
-        }
-        fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-            self.inner.lookup_struct(tag)
-        }
-        fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-            self.inner.lookup_union(tag)
-        }
-        fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-            self.inner.lookup_enum(tag)
-        }
-        fn has_function(&mut self, name: &str) -> bool {
-            self.inner.has_function(name)
-        }
-        fn frame_count(&mut self) -> usize {
-            self.inner.frame_count()
-        }
-        fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-            self.inner.frame_info(n)
-        }
-        fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-            self.inner.is_mapped(addr, len)
-        }
-        fn take_output(&mut self) -> String {
-            self.inner.take_output()
+            op.apply(&mut self.inner)
         }
     }
 

@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex};
 use crate::error::TargetError;
 use crate::iface::{CallValue, FrameInfo, VarInfo, VarKind};
 use crate::json::{quote, Json};
+use crate::layer::{Op, Reply};
 use crate::trace::{TraceOp, TraceOutcome};
 use duel_ctype::{
     Abi, Endian, EnumDef, EnumId, Field, Prim, Record, RecordId, TableSnapshot, TypeId, TypeKind,
@@ -147,6 +148,51 @@ pub enum CaptureCall {
 }
 
 impl CaptureCall {
+    /// The capture record of a live call.
+    pub fn of(op: &Op<'_, '_>) -> CaptureCall {
+        let lookup = |ns: &str, name: &str| CaptureCall::LookupType {
+            ns: ns.to_string(),
+            name: name.to_string(),
+        };
+        match op {
+            Op::GetBytes { addr, buf } => CaptureCall::GetBytes {
+                addr: *addr,
+                len: buf.len() as u64,
+            },
+            Op::GetBytesMulti(ranges) => CaptureCall::MultiRead {
+                ranges: ranges.iter().map(|r| (r.addr, r.len() as u64)).collect(),
+            },
+            Op::PutBytes { addr, bytes } => CaptureCall::PutBytes {
+                addr: *addr,
+                data: bytes.to_vec(),
+            },
+            &Op::AllocSpace { size, align } => CaptureCall::AllocSpace { size, align },
+            Op::CallFunc { name, args } => CaptureCall::CallFunc {
+                name: name.to_string(),
+                args: args.to_vec(),
+            },
+            Op::GetVariable(name) => CaptureCall::GetVariable {
+                name: name.to_string(),
+                frame: None,
+            },
+            Op::GetVariableInFrame(name, n) => CaptureCall::GetVariable {
+                name: name.to_string(),
+                frame: Some(*n as u64),
+            },
+            Op::LookupTypedef(name) => lookup("typedef", name),
+            Op::LookupStruct(tag) => lookup("struct", tag),
+            Op::LookupUnion(tag) => lookup("union", tag),
+            Op::LookupEnum(tag) => lookup("enum", tag),
+            Op::HasFunction(name) => CaptureCall::HasFunction {
+                name: name.to_string(),
+            },
+            Op::FrameCount => CaptureCall::FrameCount,
+            Op::FrameInfo(n) => CaptureCall::FrameInfo { n: *n as u64 },
+            &Op::IsMapped { addr, len } => CaptureCall::IsMapped { addr, len },
+            Op::TakeOutput => CaptureCall::TakeOutput,
+        }
+    }
+
     /// The wire-level op name used in the JSON encoding.
     pub fn op_name(&self) -> &'static str {
         match self {
@@ -363,6 +409,85 @@ pub enum CaptureReply {
 }
 
 impl CaptureReply {
+    /// The capture record of `reply`, the live answer to `op` (whose
+    /// buffers now hold the bytes read).
+    pub fn of(op: &Op<'_, '_>, reply: &Reply) -> CaptureReply {
+        let err = |e: &TargetError| CaptureReply::Err(e.clone());
+        match (op, reply) {
+            (_, Reply::Done(Err(e)) | Reply::Addr(Err(e)) | Reply::Value(Err(e))) => err(e),
+            (Op::GetBytes { buf, .. }, Reply::Done(Ok(()))) => CaptureReply::Bytes(buf.to_vec()),
+            (Op::GetBytesMulti(ranges), Reply::Multi(rs)) => CaptureReply::Multi(
+                ranges
+                    .iter()
+                    .zip(rs)
+                    .map(|(r, res)| res.clone().map(|()| r.buf.to_vec()))
+                    .collect(),
+            ),
+            (_, Reply::Done(Ok(()))) => CaptureReply::Unit,
+            (_, Reply::Addr(Ok(a))) => CaptureReply::Addr(*a),
+            (_, Reply::Value(Ok(v))) => CaptureReply::Value(v.clone()),
+            (_, Reply::Var(v)) => CaptureReply::Var(v.clone()),
+            (_, Reply::Typedef(t)) => CaptureReply::TypeRef(t.map(TypeId::raw)),
+            (_, Reply::Record(r)) => CaptureReply::TypeRef(r.map(RecordId::raw)),
+            (_, Reply::Enum(e)) => CaptureReply::TypeRef(e.map(EnumId::raw)),
+            (_, Reply::Flag(b)) => CaptureReply::Flag(*b),
+            (_, Reply::Count(n)) => CaptureReply::Count(*n as u64),
+            (_, Reply::Frame(f)) => CaptureReply::Frame(f.clone()),
+            (_, Reply::Output(s)) => CaptureReply::Output(s.clone()),
+            (_, Reply::Multi(_)) => unreachable!("a vectored reply answers a vectored read"),
+        }
+    }
+
+    /// Answers `op` with this recorded reply, copying recorded bytes
+    /// into its buffers. A recorded error fails the op; a reply whose
+    /// shape does not fit the op fails it with a backend error.
+    pub fn answer(self, op: Op<'_, '_>) -> Reply {
+        let fill = |addr: u64, buf: &mut [u8], bytes: Vec<u8>| {
+            if bytes.len() != buf.len() {
+                return Err(TargetError::Truncated {
+                    addr,
+                    wanted: buf.len() as u64,
+                    got: bytes.len() as u64,
+                });
+            }
+            buf.copy_from_slice(&bytes);
+            Ok(())
+        };
+        match (op, self) {
+            (op, CaptureReply::Err(e)) => op.fail(e),
+            (Op::GetBytes { addr, buf }, CaptureReply::Bytes(b)) => Reply::Done(fill(addr, buf, b)),
+            (Op::GetBytesMulti(ranges), CaptureReply::Multi(rs)) if rs.len() == ranges.len() => {
+                Reply::Multi(
+                    ranges
+                        .iter_mut()
+                        .zip(rs)
+                        .map(|(r, res)| res.and_then(|b| fill(r.addr, r.buf, b)))
+                        .collect(),
+                )
+            }
+            (Op::PutBytes { .. }, CaptureReply::Unit) => Reply::Done(Ok(())),
+            (Op::AllocSpace { .. }, CaptureReply::Addr(a)) => Reply::Addr(Ok(a)),
+            (Op::CallFunc { .. }, CaptureReply::Value(v)) => Reply::Value(Ok(v)),
+            (Op::GetVariable(_) | Op::GetVariableInFrame(..), CaptureReply::Var(v)) => {
+                Reply::Var(v)
+            }
+            (Op::LookupTypedef(_), CaptureReply::TypeRef(t)) => {
+                Reply::Typedef(t.map(TypeId::from_raw))
+            }
+            (Op::LookupStruct(_) | Op::LookupUnion(_), CaptureReply::TypeRef(t)) => {
+                Reply::Record(t.map(RecordId::from_raw))
+            }
+            (Op::LookupEnum(_), CaptureReply::TypeRef(t)) => Reply::Enum(t.map(EnumId::from_raw)),
+            (Op::HasFunction(_) | Op::IsMapped { .. }, CaptureReply::Flag(b)) => Reply::Flag(b),
+            (Op::FrameCount, CaptureReply::Count(n)) => Reply::Count(n as usize),
+            (Op::FrameInfo(_), CaptureReply::Frame(f)) => Reply::Frame(f),
+            (Op::TakeOutput, CaptureReply::Output(s)) => Reply::Output(s),
+            (op, _) => op.fail(TargetError::Backend(
+                "capture reply shape does not match its call".into(),
+            )),
+        }
+    }
+
     /// The [`TraceOutcome`] this reply maps to.
     pub fn outcome(&self) -> TraceOutcome {
         match self {

@@ -109,6 +109,7 @@ impl TargetError {
     /// True for *faults*: the debuggee state is bad but the backend is
     /// healthy. These become per-subexpression symbolic errors during
     /// evaluation; retrying them cannot help.
+    #[inline]
     pub fn is_fault(&self) -> bool {
         matches!(
             self,
@@ -125,6 +126,7 @@ impl TargetError {
 
     /// True for *transient failures*: the backend hiccupped and the
     /// same operation may well succeed if retried.
+    #[inline]
     pub fn is_transient(&self) -> bool {
         matches!(
             self,

@@ -317,8 +317,9 @@ pub trait Target {
     /// order, and any *synchronous* operation issued after a submit is
     /// ordered behind it on the wire (one FIFO per tower).
     ///
-    /// Only [`crate::AsyncTarget`] answers; decorators *between the
-    /// page cache and the actor* (the record layer) forward it.
+    /// Only [`crate::AsyncTarget`] answers; decorators forward it,
+    /// except a [`crate::FaultTarget`], whose gate every read must
+    /// pass.
     fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
         None
     }

@@ -16,8 +16,15 @@
 //!   builds the paper's worked examples on top of it.
 //! * [`value_io`] — endian-aware encode/decode of scalars, pointers
 //!   and bit-fields through any `Target`.
-//! * [`FaultTarget`] — deterministic fault injection (transient bursts,
-//!   poisoned pages, truncation, latency) for robustness tests.
+//! * [`Layer`] — the one op path through the tower: every data call
+//!   becomes a borrowed [`Op`] answered by a [`Reply`], so a decorator
+//!   writes one `call` matching only the ops it changes; every `Layer`
+//!   is a `Target` through a blanket impl.
+//! * [`FaultTarget`] — deterministic fault injection for robustness
+//!   and chaos tests: a static plan (transient bursts, poisoned pages,
+//!   truncation, latency) plus a scriptable mode (kill / hang / garble
+//!   campaigns with a deterministic seed) steered through a
+//!   [`ChaosHandle`], behind one gate.
 //! * [`RetryTarget`] — bounded retry with exponential backoff and
 //!   per-call deadlines; wraps flaky backends such as a remote MI
 //!   connection.
@@ -43,9 +50,6 @@
 //! * [`SupervisedTarget`] — backend supervision: health probes, a
 //!   three-state circuit breaker, pluggable reconnection with session
 //!   resync, and degraded stale-read mode while the backend is down.
-//! * [`ChaosTarget`] — a scriptable failure-injection gate (kill /
-//!   hang / garble campaigns with a deterministic seed) for chaos
-//!   testing the supervision stack.
 //! * [`AsyncTarget`] — the I/O actor: moves the innermost backend onto
 //!   a dedicated worker thread and adds non-blocking submit/poll for
 //!   in-flight vectored reads, enabling double-buffered streaming
@@ -53,11 +57,11 @@
 
 pub mod cache;
 pub mod capture;
-pub mod chaos;
 pub mod error;
 pub mod fault;
 pub mod iface;
 pub mod json;
+pub mod layer;
 pub mod meta;
 pub mod metrics;
 pub mod pipeline;
@@ -75,13 +79,13 @@ pub use cache::{CacheConfig, CacheStats, CachedTarget};
 pub use capture::{
     Capture, CaptureCall, CaptureEvent, CaptureReply, SharedSink, CAPTURE_SCHEMA_VERSION,
 };
-pub use chaos::{ChaosAction, ChaosEvent, ChaosHandle, ChaosMode, ChaosTarget};
 pub use error::{TargetError, TargetResult};
-pub use fault::{FaultConfig, FaultTarget};
+pub use fault::{ChaosAction, ChaosEvent, ChaosHandle, ChaosMode, FaultConfig, FaultTarget};
 pub use iface::{
     CallValue, FrameInfo, OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target,
     VarInfo, VarKind,
 };
+pub use layer::{Layer, Op, Reply};
 pub use meta::{MetaCapture, MetaSnapshot, MetaTarget, META_BASE};
 pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use pipeline::{AsyncTarget, PipelineHandle, PipelineStats};

@@ -20,9 +20,9 @@ use std::time::Instant;
 
 use crate::capture::{footer_to_json, header_to_json, CaptureCall, CaptureEvent, CaptureReply};
 use crate::error::TargetResult;
-use crate::iface::{CallValue, FrameInfo, OwnedRange, PipelineTicket, ReadRange, Target, VarInfo};
-use crate::trace::{TraceHandle, TraceOp, TRACE_OPS};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+use crate::iface::{OwnedRange, PipelineTicket, ReadRange, Target};
+use crate::layer::{Op, Reply};
+use crate::trace::{TraceOp, TRACE_OPS};
 
 /// Events between forced flushes of the capture stream.
 pub const FLUSH_EVERY: u64 = 256;
@@ -228,307 +228,29 @@ impl<T: Target> RecordTarget<T> {
             self.write_event(call, reply, ns);
         }
     }
-
-    fn clock(&self) -> Option<Instant> {
-        if self.recorder.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
 }
 
-fn elapsed_ns(start: Option<Instant>) -> u64 {
-    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
-}
+impl<T: Target> crate::Layer for RecordTarget<T> {
+    type Inner = T;
 
-fn reply_of<R: Clone>(r: &TargetResult<R>, ok: impl FnOnce(&R) -> CaptureReply) -> CaptureReply {
-    match r {
-        Ok(v) => ok(v),
-        Err(e) => CaptureReply::Err(e.clone()),
-    }
-}
-
-impl<T: Target> Target for RecordTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
+    fn below(&self) -> &T {
+        &self.inner
     }
 
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
+    fn below_mut(&mut self) -> &mut T {
+        &mut self.inner
     }
 
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        let t = self.clock();
-        let r = self.inner.get_bytes(addr, buf);
-        if self.recorder.is_some() {
-            let reply = reply_of(&r, |_| CaptureReply::Bytes(buf.to_vec()));
-            self.emit(
-                CaptureCall::GetBytes {
-                    addr,
-                    len: buf.len() as u64,
-                },
-                reply,
-                elapsed_ns(t),
-            );
+    #[inline(always)]
+    fn call(&mut self, mut op: Op<'_, '_>) -> Reply {
+        if self.recorder.is_none() {
+            return op.apply(&mut self.inner);
         }
-        r
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        let t = self.clock();
-        let results = self.inner.get_bytes_multi(ranges);
-        if self.recorder.is_some() {
-            let call = CaptureCall::MultiRead {
-                ranges: ranges
-                    .iter()
-                    .map(|r| (r.addr, r.buf.len() as u64))
-                    .collect(),
-            };
-            let reply = CaptureReply::Multi(
-                ranges
-                    .iter()
-                    .zip(&results)
-                    .map(|(r, res)| match res {
-                        Ok(()) => Ok(r.buf.to_vec()),
-                        Err(e) => Err(e.clone()),
-                    })
-                    .collect(),
-            );
-            self.emit(call, reply, elapsed_ns(t));
-        }
-        results
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        let t = self.clock();
-        let r = self.inner.put_bytes(addr, bytes);
-        if self.recorder.is_some() {
-            let reply = reply_of(&r, |_| CaptureReply::Unit);
-            self.emit(
-                CaptureCall::PutBytes {
-                    addr,
-                    data: bytes.to_vec(),
-                },
-                reply,
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        let t = self.clock();
-        let r = self.inner.alloc_space(size, align);
-        if self.recorder.is_some() {
-            let reply = reply_of(&r, |&a| CaptureReply::Addr(a));
-            self.emit(
-                CaptureCall::AllocSpace { size, align },
-                reply,
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        let t = self.clock();
-        let r = self.inner.call_func(name, args);
-        if self.recorder.is_some() {
-            let reply = reply_of(&r, |v| CaptureReply::Value(v.clone()));
-            self.emit(
-                CaptureCall::CallFunc {
-                    name: name.to_string(),
-                    args: args.to_vec(),
-                },
-                reply,
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        let t = self.clock();
-        let r = self.inner.get_variable(name);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::GetVariable {
-                    name: name.to_string(),
-                    frame: None,
-                },
-                CaptureReply::Var(r.clone()),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        let t = self.clock();
-        let r = self.inner.get_variable_in_frame(name, frame);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::GetVariable {
-                    name: name.to_string(),
-                    frame: Some(frame as u64),
-                },
-                CaptureReply::Var(r.clone()),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        let t = self.clock();
-        let r = self.inner.lookup_typedef(name);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::LookupType {
-                    ns: "typedef".into(),
-                    name: name.to_string(),
-                },
-                CaptureReply::TypeRef(r.map(TypeId::raw)),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        let t = self.clock();
-        let r = self.inner.lookup_struct(tag);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::LookupType {
-                    ns: "struct".into(),
-                    name: tag.to_string(),
-                },
-                CaptureReply::TypeRef(r.map(RecordId::raw)),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        let t = self.clock();
-        let r = self.inner.lookup_union(tag);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::LookupType {
-                    ns: "union".into(),
-                    name: tag.to_string(),
-                },
-                CaptureReply::TypeRef(r.map(RecordId::raw)),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        let t = self.clock();
-        let r = self.inner.lookup_enum(tag);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::LookupType {
-                    ns: "enum".into(),
-                    name: tag.to_string(),
-                },
-                CaptureReply::TypeRef(r.map(EnumId::raw)),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        let t = self.clock();
-        let r = self.inner.has_function(name);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::HasFunction {
-                    name: name.to_string(),
-                },
-                CaptureReply::Flag(r),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn frame_count(&mut self) -> usize {
-        let t = self.clock();
-        let r = self.inner.frame_count();
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::FrameCount,
-                CaptureReply::Count(r as u64),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        let t = self.clock();
-        let r = self.inner.frame_info(n);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::FrameInfo { n: n as u64 },
-                CaptureReply::Frame(r.clone()),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        let t = self.clock();
-        let r = self.inner.is_mapped(addr, len);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::IsMapped { addr, len },
-                CaptureReply::Flag(r),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn take_output(&mut self) -> String {
-        let t = self.clock();
-        let r = self.inner.take_output();
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::TakeOutput,
-                CaptureReply::Output(r.clone()),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn trace_handle(&self) -> Option<TraceHandle> {
-        self.inner.trace_handle()
-    }
-
-    fn set_span_context(&mut self, spans: &crate::span::SpanContext) {
-        self.inner.set_span_context(spans);
-    }
-
-    fn span_context(&self) -> Option<crate::span::SpanContext> {
-        self.inner.span_context()
-    }
-
-    fn staleness_handle(&self) -> Option<crate::supervise::StalenessHandle> {
-        self.inner.staleness_handle()
+        let start = Instant::now();
+        let reply = op.reborrow().apply(&mut self.inner);
+        let ns = start.elapsed().as_nanos() as u64;
+        self.emit(CaptureCall::of(&op), CaptureReply::of(&op, &reply), ns);
+        reply
     }
 
     fn read_submit(&mut self, ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
@@ -545,7 +267,7 @@ impl<T: Target> Target for RecordTarget<T> {
     }
 
     fn read_poll(&mut self, ticket: PipelineTicket) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
-        let done = self.inner.read_poll(ticket)?;
+        let mut done = self.inner.read_poll(ticket)?;
         let start = match self.inflight.front() {
             Some(&(t, at)) if t == ticket => {
                 self.inflight.pop_front();
@@ -554,21 +276,19 @@ impl<T: Target> Target for RecordTarget<T> {
             _ => None,
         };
         if self.recorder.is_some() {
-            let call = CaptureCall::MultiRead {
-                ranges: done
-                    .iter()
-                    .map(|(o, _)| (o.addr, o.buf.len() as u64))
-                    .collect(),
-            };
-            let reply = CaptureReply::Multi(
-                done.iter()
-                    .map(|(o, r)| match r {
-                        Ok(()) => Ok(o.buf.clone()),
-                        Err(e) => Err(e.clone()),
-                    })
-                    .collect(),
+            // Record the window exactly as the vectored read it stands
+            // for.
+            let results = done.iter().map(|(_, r)| r.clone()).collect();
+            let mut ranges: Vec<ReadRange<'_>> = done
+                .iter_mut()
+                .map(|(o, _)| ReadRange::new(o.addr, &mut o.buf))
+                .collect();
+            let op = Op::GetBytesMulti(&mut ranges);
+            let (call, reply) = (
+                CaptureCall::of(&op),
+                CaptureReply::of(&op, &Reply::Multi(results)),
             );
-            let ns = elapsed_ns(start);
+            let ns = start.map_or(0, |t| t.elapsed().as_nanos() as u64);
             let hole = self
                 .deferred
                 .iter_mut()
@@ -582,22 +302,6 @@ impl<T: Target> Target for RecordTarget<T> {
             self.flush_deferred();
         }
         Some(done)
-    }
-
-    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
-        self.inner.prefetch_submit(ranges)
-    }
-
-    fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {
-        self.inner.prefetch_poll()
-    }
-
-    fn cache_page_size(&self) -> Option<u64> {
-        self.inner.cache_page_size()
-    }
-
-    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
-        self.inner.pipeline_handle()
     }
 }
 

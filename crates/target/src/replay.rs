@@ -29,8 +29,9 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::capture::{Capture, CaptureCall, CaptureEvent, CaptureReply};
 use crate::error::{TargetError, TargetResult};
-use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo, VarKind};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+use crate::iface::{CallValue, FrameInfo, Target, VarInfo, VarKind};
+use crate::layer::{data_methods_via, Op, Reply};
+use duel_ctype::{Abi, TypeTable};
 
 /// How a [`ReplayTarget`] answers calls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,6 +195,82 @@ impl Image {
     fn covered(&self, addr: u64, len: u64) -> bool {
         (0..len).all(|i| self.memory.contains_key(&(addr + i)))
     }
+
+    /// Answers one call best-effort from the frozen image. Type lookups
+    /// consult `types`: the restored snapshot already holds every tag
+    /// the recorded session ever defined.
+    fn serve(&mut self, op: Op<'_, '_>, types: &TypeTable) -> Reply {
+        match op {
+            Op::GetBytes { addr, buf } => Reply::Done(self.read(addr, buf)),
+            Op::GetBytesMulti(ranges) => Reply::Multi(
+                ranges
+                    .iter_mut()
+                    .map(|r| self.read(r.addr, r.buf))
+                    .collect(),
+            ),
+            Op::PutBytes { addr, bytes } => {
+                // The frozen image is a private copy; writes land in it
+                // so follow-up reads in the same postmortem session see
+                // them, without any live target involved.
+                for (i, b) in bytes.iter().enumerate() {
+                    self.memory.insert(addr + i as u64, *b);
+                }
+                Reply::Done(Ok(()))
+            }
+            Op::AllocSpace { size, align } => {
+                let align = align.max(1);
+                let addr = self.alloc_next.div_ceil(align) * align;
+                self.alloc_next = addr + size.max(1);
+                // Fresh scratch space reads back as zeroes.
+                for i in 0..size {
+                    self.memory.insert(addr + i, 0);
+                }
+                Reply::Addr(Ok(addr))
+            }
+            Op::CallFunc { name, args } => {
+                Reply::Value(match self.call_results.get(&call_key(name, args)) {
+                    Some(v) => Ok(v.clone()),
+                    None if self.functions.contains(name) => Err(TargetError::CallFailed {
+                        func: name.to_string(),
+                        reason: "call with these arguments is not in the capture \
+                                 (replay cannot execute debuggee code)"
+                            .into(),
+                    }),
+                    None => Err(TargetError::UnknownFunction(name.to_string())),
+                })
+            }
+            // A local recorded in the innermost frame still resolves by
+            // bare name, mirroring live shadowing.
+            Op::GetVariable(name) => Reply::Var(
+                self.globals
+                    .get(name)
+                    .or_else(|| self.frame_vars.get(&(name.to_string(), 0)))
+                    .cloned(),
+            ),
+            Op::GetVariableInFrame(name, frame) => Reply::Var(
+                self.frame_vars
+                    .get(&(name.to_string(), frame as u64))
+                    .or_else(|| self.globals.get(name).filter(|v| v.kind == VarKind::Global))
+                    .cloned(),
+            ),
+            Op::LookupTypedef(name) => Reply::Typedef(types.typedef(name)),
+            Op::LookupStruct(tag) => Reply::Record(types.struct_tag(tag)),
+            Op::LookupUnion(tag) => Reply::Record(types.union_tag(tag)),
+            Op::LookupEnum(tag) => Reply::Enum(types.enum_tag(tag)),
+            Op::HasFunction(name) => Reply::Flag(self.functions.contains(name)),
+            Op::FrameCount => Reply::Count(self.frame_count as usize),
+            Op::FrameInfo(n) => Reply::Frame(self.frames.get(&(n as u64)).cloned()),
+            Op::IsMapped { addr, len } => Reply::Flag(
+                self.mapped_probes
+                    .get(&(addr, len))
+                    .copied()
+                    .unwrap_or_else(|| self.covered(addr, len)),
+            ),
+            // The recorded session already drained the output stream;
+            // new evaluation over a frozen image produces none.
+            Op::TakeOutput => Reply::Output(String::new()),
+        }
+    }
 }
 
 /// A [`Target`] that answers entirely from a parsed [`Capture`].
@@ -301,29 +378,15 @@ impl ReplayTarget {
         Ok(reply)
     }
 
-    fn strict_result<R>(
-        &mut self,
-        call: CaptureCall,
-        extract: impl FnOnce(CaptureReply) -> Option<R>,
-    ) -> TargetResult<R> {
-        match self.advance(call) {
-            Err(d) => Err(d.to_error()),
-            Ok(CaptureReply::Err(e)) => Err(e),
-            Ok(reply) => extract(reply).ok_or_else(|| {
-                TargetError::Backend("capture reply shape does not match its call".into())
-            }),
+    /// Answers one call: strictly from the next recorded event, or
+    /// best-effort from the permissive image.
+    fn serve(&mut self, op: Op<'_, '_>) -> Reply {
+        if let Some(img) = &mut self.image {
+            return img.serve(op, &self.types);
         }
-    }
-
-    fn strict_plain<R>(
-        &mut self,
-        call: CaptureCall,
-        extract: impl FnOnce(CaptureReply) -> Option<R>,
-        fallback: R,
-    ) -> R {
-        match self.advance(call) {
-            Err(_) => fallback,
-            Ok(reply) => extract(reply).unwrap_or(fallback),
+        match self.advance(CaptureCall::of(&op)) {
+            Err(d) => op.fail(d.to_error()),
+            Ok(reply) => reply.answer(op),
         }
     }
 }
@@ -341,356 +404,5 @@ impl Target for ReplayTarget {
         &mut self.types
     }
 
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        match self.mode {
-            ReplayMode::Strict => {
-                let len = buf.len() as u64;
-                let bytes =
-                    self.strict_result(CaptureCall::GetBytes { addr, len }, |r| match r {
-                        CaptureReply::Bytes(b) => Some(b),
-                        _ => None,
-                    })?;
-                if bytes.len() != buf.len() {
-                    return Err(TargetError::Truncated {
-                        addr,
-                        wanted: len,
-                        got: bytes.len() as u64,
-                    });
-                }
-                buf.copy_from_slice(&bytes);
-                Ok(())
-            }
-            ReplayMode::Permissive => self.image.as_ref().unwrap().read(addr, buf),
-        }
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        match self.mode {
-            ReplayMode::Strict => {
-                let call = CaptureCall::MultiRead {
-                    ranges: ranges
-                        .iter()
-                        .map(|r| (r.addr, r.buf.len() as u64))
-                        .collect(),
-                };
-                let replies = match self.advance(call) {
-                    Err(d) => {
-                        let e = d.to_error();
-                        return ranges.iter().map(|_| Err(e.clone())).collect();
-                    }
-                    Ok(CaptureReply::Multi(rs)) if rs.len() == ranges.len() => rs,
-                    Ok(_) => {
-                        let e = TargetError::Backend(
-                            "capture reply shape does not match its call".into(),
-                        );
-                        return ranges.iter().map(|_| Err(e.clone())).collect();
-                    }
-                };
-                ranges
-                    .iter_mut()
-                    .zip(replies)
-                    .map(|(r, reply)| match reply {
-                        Ok(bytes) if bytes.len() == r.buf.len() => {
-                            r.buf.copy_from_slice(&bytes);
-                            Ok(())
-                        }
-                        Ok(bytes) => Err(TargetError::Truncated {
-                            addr: r.addr,
-                            wanted: r.buf.len() as u64,
-                            got: bytes.len() as u64,
-                        }),
-                        Err(e) => Err(e),
-                    })
-                    .collect()
-            }
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                ranges.iter_mut().map(|r| img.read(r.addr, r.buf)).collect()
-            }
-        }
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_result(
-                CaptureCall::PutBytes {
-                    addr,
-                    data: bytes.to_vec(),
-                },
-                |r| match r {
-                    CaptureReply::Unit => Some(()),
-                    _ => None,
-                },
-            ),
-            ReplayMode::Permissive => {
-                // The frozen image is a private copy; writes land in it
-                // so follow-up reads in the same postmortem session see
-                // them, without any live target involved.
-                let img = self.image.as_mut().unwrap();
-                for (i, b) in bytes.iter().enumerate() {
-                    img.memory.insert(addr + i as u64, *b);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        match self.mode {
-            ReplayMode::Strict => {
-                self.strict_result(CaptureCall::AllocSpace { size, align }, |r| match r {
-                    CaptureReply::Addr(a) => Some(a),
-                    _ => None,
-                })
-            }
-            ReplayMode::Permissive => {
-                let img = self.image.as_mut().unwrap();
-                let align = align.max(1);
-                let addr = img.alloc_next.div_ceil(align) * align;
-                img.alloc_next = addr + size.max(1);
-                // Fresh scratch space reads back as zeroes.
-                for i in 0..size {
-                    img.memory.insert(addr + i, 0);
-                }
-                Ok(addr)
-            }
-        }
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_result(
-                CaptureCall::CallFunc {
-                    name: name.to_string(),
-                    args: args.to_vec(),
-                },
-                |r| match r {
-                    CaptureReply::Value(v) => Some(v),
-                    _ => None,
-                },
-            ),
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                if let Some(v) = img.call_results.get(&call_key(name, args)) {
-                    return Ok(v.clone());
-                }
-                if img.functions.contains(name) {
-                    Err(TargetError::CallFailed {
-                        func: name.to_string(),
-                        reason: "call with these arguments is not in the capture \
-                                 (replay cannot execute debuggee code)"
-                            .into(),
-                    })
-                } else {
-                    Err(TargetError::UnknownFunction(name.to_string()))
-                }
-            }
-        }
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::GetVariable {
-                    name: name.to_string(),
-                    frame: None,
-                },
-                |r| match r {
-                    CaptureReply::Var(v) => Some(v),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                img.globals.get(name).cloned().or_else(|| {
-                    // A local recorded in the innermost frame still
-                    // resolves by bare name, mirroring live shadowing.
-                    img.frame_vars.get(&(name.to_string(), 0)).cloned()
-                })
-            }
-        }
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::GetVariable {
-                    name: name.to_string(),
-                    frame: Some(frame as u64),
-                },
-                |r| match r {
-                    CaptureReply::Var(v) => Some(v),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                img.frame_vars
-                    .get(&(name.to_string(), frame as u64))
-                    .cloned()
-                    .or_else(|| match img.globals.get(name) {
-                        Some(v) if v.kind == VarKind::Global => Some(v.clone()),
-                        _ => None,
-                    })
-            }
-        }
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::LookupType {
-                    ns: "typedef".into(),
-                    name: name.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::TypeRef(t) => Some(t.map(TypeId::from_raw)),
-                    _ => None,
-                },
-                None,
-            ),
-            // Permissive: the restored snapshot already holds every tag
-            // the recorded session ever defined.
-            ReplayMode::Permissive => self.types.typedef(name),
-        }
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::LookupType {
-                    ns: "struct".into(),
-                    name: tag.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::TypeRef(t) => Some(t.map(RecordId::from_raw)),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => self.types.struct_tag(tag),
-        }
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::LookupType {
-                    ns: "union".into(),
-                    name: tag.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::TypeRef(t) => Some(t.map(RecordId::from_raw)),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => self.types.union_tag(tag),
-        }
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::LookupType {
-                    ns: "enum".into(),
-                    name: tag.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::TypeRef(t) => Some(t.map(EnumId::from_raw)),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => self.types.enum_tag(tag),
-        }
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::HasFunction {
-                    name: name.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::Flag(b) => Some(b),
-                    _ => None,
-                },
-                false,
-            ),
-            ReplayMode::Permissive => self.image.as_ref().unwrap().functions.contains(name),
-        }
-    }
-
-    fn frame_count(&mut self) -> usize {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::FrameCount,
-                |r| match r {
-                    CaptureReply::Count(n) => Some(n as usize),
-                    _ => None,
-                },
-                0,
-            ),
-            ReplayMode::Permissive => self.image.as_ref().unwrap().frame_count as usize,
-        }
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::FrameInfo { n: n as u64 },
-                |r| match r {
-                    CaptureReply::Frame(f) => Some(f),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => self
-                .image
-                .as_ref()
-                .unwrap()
-                .frames
-                .get(&(n as u64))
-                .cloned(),
-        }
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::IsMapped { addr, len },
-                |r| match r {
-                    CaptureReply::Flag(b) => Some(b),
-                    _ => None,
-                },
-                false,
-            ),
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                img.mapped_probes
-                    .get(&(addr, len))
-                    .copied()
-                    .unwrap_or_else(|| img.covered(addr, len))
-            }
-        }
-    }
-
-    fn take_output(&mut self) -> String {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::TakeOutput,
-                |r| match r {
-                    CaptureReply::Output(s) => Some(s),
-                    _ => None,
-                },
-                String::new(),
-            ),
-            // The recorded session already drained the output stream;
-            // new evaluation over a frozen image produces none.
-            ReplayMode::Permissive => String::new(),
-        }
-    }
+    data_methods_via!(serve);
 }

@@ -21,9 +21,9 @@
 //! clamped against whichever deadline is nearer.
 
 use crate::error::{TargetError, TargetResult};
-use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo};
+use crate::iface::{ReadRange, Target};
+use crate::layer::{forward_open, Op, Reply};
 use crate::span::{SpanContext, SpanKind};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
 use std::time::{Duration, Instant};
 
 /// How a [`RetryTarget`] behaves.
@@ -222,253 +222,163 @@ impl<T: Target> RetryTarget<T> {
         }
     }
 
-    fn run<R>(
-        &mut self,
-        name: &'static str,
-        mut op: impl FnMut(&mut T) -> TargetResult<R>,
-    ) -> TargetResult<R> {
-        let start = Instant::now();
-        // The effective budget for this operation: the policy's
-        // per-operation allowance clamped by however much of the eval
-        // budget is left.
-        let budget = match (self.policy.deadline, self.op_deadline) {
+    /// The effective budget for an operation started at `start`: the
+    /// policy's per-operation allowance clamped by however much of the
+    /// eval budget is left.
+    fn budget(&self, start: Instant) -> Option<Duration> {
+        match (self.policy.deadline, self.op_deadline) {
             (Some(p), Some(od)) => Some(p.min(od.saturating_duration_since(start))),
             (Some(p), None) => Some(p),
             (None, Some(od)) => Some(od.saturating_duration_since(start)),
             (None, None) => None,
-        };
-        let mut attempt = 0u32;
+        }
+    }
+
+    /// Decides whether a transient failure gets another attempt, and
+    /// backs off if so. `Err(None)` gives up with the failure as is,
+    /// `Err(Some(timeout))` gives up because the budget ran out.
+    fn backoff(&mut self, ep: &mut Episode) -> Result<(), Option<TargetError>> {
+        if ep.attempt >= self.policy.max_retries {
+            self.stats.give_ups += 1;
+            return Err(None);
+        }
+        ep.attempt += 1;
+        self.stats.retries += 1;
         // One *logical* span covers the whole retry episode, opened
         // lazily at the first transient failure (a clean first attempt
         // never touches the span stack) and back-dated to the op start.
-        let mut retry_span = 0u64;
-        self.stats.operations += 1;
-        let result = loop {
-            match op(&mut self.inner) {
-                Ok(r) => break Ok(r),
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    if retry_span == 0 {
-                        retry_span = self.open_retry_span(name, start);
-                    }
-                    let mut backoff = self.policy.backoff(attempt);
-                    if let Some(budget) = budget {
-                        let elapsed = start.elapsed();
-                        if elapsed >= budget {
-                            self.stats.give_ups += 1;
-                            break Err(TargetError::Timeout {
-                                ms: budget.as_millis() as u64,
-                            });
-                        }
-                        // Never sleep past the deadline.
-                        backoff = backoff.min(budget - elapsed);
-                    }
-                    self.note_attempt(attempt, backoff, retry_span);
-                    self.stats.backoff_ns += backoff.as_nanos() as u64;
-                    if self.policy.sleep {
-                        std::thread::sleep(backoff);
-                    }
-                }
-                Err(e) => {
-                    if e.is_transient() {
-                        self.stats.give_ups += 1;
-                    }
-                    break Err(e);
-                }
+        if ep.span == 0 {
+            ep.span = self.open_retry_span(ep.name, ep.start);
+        }
+        let mut backoff = self.policy.backoff(ep.attempt);
+        if let Some(budget) = ep.budget {
+            let elapsed = ep.start.elapsed();
+            if elapsed >= budget {
+                self.stats.give_ups += 1;
+                return Err(Some(TargetError::Timeout {
+                    ms: budget.as_millis() as u64,
+                }));
             }
-        };
-        self.close_retry_span(retry_span);
-        result
-    }
-}
-
-impl<T: Target> Target for RetryTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
-    }
-
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
+            // Never sleep past the deadline.
+            backoff = backoff.min(budget - elapsed);
+        }
+        self.note_attempt(ep.attempt, backoff, ep.span);
+        self.stats.backoff_ns += backoff.as_nanos() as u64;
+        if self.policy.sleep {
+            std::thread::sleep(backoff);
+        }
+        Ok(())
     }
 
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        self.run("get_bytes", |t| t.get_bytes(addr, buf))
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        // Batched re-drive: each attempt is ONE inner vectored call
-        // covering only the ranges that are still transient, with the
-        // usual backoff/deadline between attempts. Retrying ranges one
-        // by one would dissolve the batch back into scalar wire turns.
+    fn episode(&mut self, name: &'static str) -> Episode {
+        self.stats.operations += 1;
         let start = Instant::now();
-        let budget = match (self.policy.deadline, self.op_deadline) {
-            (Some(p), Some(od)) => Some(p.min(od.saturating_duration_since(start))),
-            (Some(p), None) => Some(p),
-            (None, Some(od)) => Some(od.saturating_duration_since(start)),
-            (None, None) => None,
+        Episode {
+            name,
+            start,
+            budget: self.budget(start),
+            attempt: 0,
+            span: 0,
+        }
+    }
+
+    /// Re-issues a scalar op while it fails transiently.
+    fn run(&mut self, mut op: Op<'_, '_>) -> Reply {
+        let mut ep = self.episode(op.name());
+        let reply = loop {
+            let reply = op.reborrow().apply(&mut self.inner);
+            if reply.transient().is_none() {
+                break reply;
+            }
+            match self.backoff(&mut ep) {
+                Ok(()) => {}
+                Err(None) => break reply,
+                Err(Some(timeout)) => break op.fail(timeout),
+            }
         };
-        self.stats.operations += 1;
-        let n = ranges.len();
-        let mut results: Vec<Option<TargetResult<()>>> = (0..n).map(|_| None).collect();
-        let mut pending = vec![true; n];
-        let mut attempt = 0u32;
-        let mut retry_span = 0u64;
+        self.close_retry_span(ep.span);
+        reply
+    }
+
+    /// Batched re-drive: each attempt is ONE inner vectored call
+    /// covering only the ranges that are still transient, with the
+    /// usual backoff/deadline between attempts. Retrying ranges one by
+    /// one would dissolve the batch back into scalar wire turns.
+    fn run_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
+        let mut ep = self.episode("get_bytes_multi");
+        let mut results: Vec<Option<TargetResult<()>>> = vec![None; ranges.len()];
         loop {
-            let mut fwd = Vec::new();
-            let mut idx = Vec::new();
-            for (i, r) in ranges.iter_mut().enumerate() {
-                if pending[i] {
-                    idx.push(i);
-                    fwd.push(ReadRange::new(r.addr, &mut *r.buf));
-                }
-            }
-            let mut transient = Vec::new();
-            for (i, res) in idx.into_iter().zip(self.inner.get_bytes_multi(&mut fwd)) {
-                let is_transient = res.as_ref().err().is_some_and(|e| e.is_transient());
-                results[i] = Some(res);
-                if is_transient {
-                    transient.push(i);
-                } else {
-                    pending[i] = false;
-                }
-            }
+            forward_open(&mut self.inner, ranges, &mut results);
+            let transient: Vec<usize> = (0..results.len())
+                .filter(|&i| matches!(&results[i], Some(Err(e)) if e.is_transient()))
+                .collect();
             if transient.is_empty() {
                 break;
             }
-            if attempt >= self.policy.max_retries {
-                self.stats.give_ups += 1;
-                break;
-            }
-            attempt += 1;
-            self.stats.retries += 1;
-            if retry_span == 0 {
-                retry_span = self.open_retry_span("get_bytes_multi", start);
-            }
-            let mut backoff = self.policy.backoff(attempt);
-            if let Some(budget) = budget {
-                let elapsed = start.elapsed();
-                if elapsed >= budget {
-                    self.stats.give_ups += 1;
+            match self.backoff(&mut ep) {
+                Ok(()) => transient.iter().for_each(|&i| results[i] = None),
+                Err(None) => break,
+                Err(Some(timeout)) => {
                     for i in transient {
-                        results[i] = Some(Err(TargetError::Timeout {
-                            ms: budget.as_millis() as u64,
-                        }));
+                        results[i] = Some(Err(timeout.clone()));
                     }
                     break;
                 }
-                backoff = backoff.min(budget - elapsed);
-            }
-            self.note_attempt(attempt, backoff, retry_span);
-            self.stats.backoff_ns += backoff.as_nanos() as u64;
-            if self.policy.sleep {
-                std::thread::sleep(backoff);
             }
         }
-        self.close_retry_span(retry_span);
+        self.close_retry_span(ep.span);
         results.into_iter().map(Option::unwrap).collect()
     }
+}
 
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        self.run("put_bytes", |t| t.put_bytes(addr, bytes))
+/// The bookkeeping of one retried operation.
+struct Episode {
+    name: &'static str,
+    start: Instant,
+    budget: Option<Duration>,
+    attempt: u32,
+    /// The logical `retry` span, 0 until the first re-attempt.
+    span: u64,
+}
+
+impl<T: Target> crate::Layer for RetryTarget<T> {
+    type Inner = T;
+
+    fn below(&self) -> &T {
+        &self.inner
     }
 
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        self.run("alloc_space", |t| t.alloc_space(size, align))
+    fn below_mut(&mut self) -> &mut T {
+        &mut self.inner
     }
 
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        // Calls are NOT retried blindly: a call may have side effects,
-        // so only an error that provably happened before execution
-        // (a transport-level failure) would be safe. We retry anyway
-        // only when the backend says the failure was transient, which
-        // for the MI adapter means the command never ran.
-        self.run("call_func", |t| t.call_func(name, args))
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        self.inner.get_variable(name)
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        self.inner.get_variable_in_frame(name, frame)
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        self.inner.lookup_typedef(name)
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_struct(tag)
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_union(tag)
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        self.inner.lookup_enum(tag)
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        self.inner.has_function(name)
-    }
-
-    fn frame_count(&mut self) -> usize {
-        self.inner.frame_count()
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        self.inner.frame_info(n)
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        self.inner.is_mapped(addr, len)
-    }
-
-    fn take_output(&mut self) -> String {
-        self.inner.take_output()
-    }
-
-    fn trace_handle(&self) -> Option<crate::trace::TraceHandle> {
-        self.inner.trace_handle()
+    /// Memory, alloc and call ops are retried; lookups pass through.
+    ///
+    /// Calls are NOT retried blindly: a call may have side effects, so
+    /// only an error that provably happened before execution (a
+    /// transport-level failure) would be safe. They are retried only
+    /// when the backend says the failure was transient, which for the
+    /// MI adapter means the command never ran.
+    ///
+    /// Prefetch warms are deliberately NOT retried: a failed page stays
+    /// cold and the demand read that eventually needs it re-drives it
+    /// through the normal (retried) scalar path. Retrying warms would
+    /// desynchronize the wire sequence between pipeline on and off.
+    #[inline(always)]
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        match op {
+            Op::GetBytesMulti(ranges) => Reply::Multi(self.run_multi(ranges)),
+            Op::GetBytes { .. }
+            | Op::PutBytes { .. }
+            | Op::AllocSpace { .. }
+            | Op::CallFunc { .. } => self.run(op),
+            _ => op.apply(&mut self.inner),
+        }
     }
 
     fn set_span_context(&mut self, spans: &SpanContext) {
         self.spans = Some(spans.clone());
         self.inner.set_span_context(spans);
-    }
-
-    fn span_context(&self) -> Option<SpanContext> {
-        self.inner.span_context()
-    }
-
-    fn staleness_handle(&self) -> Option<crate::supervise::StalenessHandle> {
-        self.inner.staleness_handle()
-    }
-
-    // Prefetch warms are deliberately NOT retried: a failed page stays
-    // cold and the demand read that eventually needs it re-drives it
-    // through the normal (retried) scalar path. Retrying warms would
-    // desynchronize the wire sequence between pipeline on and off.
-    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
-        self.inner.prefetch_submit(ranges)
-    }
-
-    fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {
-        self.inner.prefetch_poll()
-    }
-
-    fn cache_page_size(&self) -> Option<u64> {
-        self.inner.cache_page_size()
-    }
-
-    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
-        self.inner.pipeline_handle()
     }
 }
 

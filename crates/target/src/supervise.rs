@@ -39,8 +39,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{TargetError, TargetResult};
-use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+use crate::iface::Target;
+use crate::layer::{Op, Reply};
 
 /// The circuit breaker's state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -304,15 +304,6 @@ impl StalenessHandle {
     fn set_degraded(&self, on: bool) {
         self.0.degraded.store(u64::from(on), Ordering::Relaxed);
     }
-}
-
-/// Whether an operation may be served stale while the circuit is open.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OpClass {
-    /// `get_bytes` — degradable: the cache below may answer it.
-    Read,
-    /// Writes, allocs, calls — must fail fast while open.
-    Mutate,
 }
 
 /// A [`Target`] decorator that owns backend liveness: health probes, a
@@ -595,153 +586,80 @@ impl<T: Target> SupervisedTarget<T> {
         self.staleness.set_degraded(true);
     }
 
-    fn run<R>(
-        &mut self,
-        class: OpClass,
-        mut op: impl FnMut(&mut T) -> TargetResult<R>,
-    ) -> TargetResult<R> {
-        self.stats.operations += 1;
-        match self.state {
-            CircuitState::Closed => {}
-            CircuitState::Open | CircuitState::HalfOpen => {
-                if self.cooldown_elapsed() {
-                    if self.try_recover().is_err() {
-                        return self.degraded(class, op);
-                    }
-                    // Recovered: fall through to the closed path.
-                } else {
-                    return self.degraded(class, op);
-                }
-            }
-        }
-        let r = op(&mut self.inner);
-        match &r {
-            Ok(_) => self.record_success(),
-            Err(e) if e.is_transient() => {
-                self.last_failure = Some(e.to_string());
-                self.record_failure();
-            }
-            // A fault is the debuggee's honest answer: the backend is
-            // alive, so it counts as a healthy outcome.
-            Err(_) => self.record_success(),
-        }
-        if self.state == CircuitState::Closed
-            && self.cfg.probe_every > 0
-            && self.stats.operations.is_multiple_of(self.cfg.probe_every)
-        {
-            self.stats.probes += 1;
-            if let Err(e) = self.strategy.probe(&mut self.inner) {
-                self.stats.probe_failures += 1;
-                self.last_failure = Some(e.to_string());
-                self.record_failure();
-            } else {
-                self.record_success();
-            }
-        }
-        r
-    }
-
     /// The open-circuit path: reads may still be served (stale) by the
-    /// cache below; everything else fails fast.
-    fn degraded<R>(
-        &mut self,
-        class: OpClass,
-        mut op: impl FnMut(&mut T) -> TargetResult<R>,
-    ) -> TargetResult<R> {
-        if class == OpClass::Mutate || !self.cfg.degrade {
+    /// cache below, each range judged on its own — cache-served ranges
+    /// come back stale, ranges that needed the dead wire become
+    /// [`TargetError::CircuitOpen`]. Everything else fails fast.
+    fn degraded(&mut self, read: bool, op: Op<'_, '_>) -> Reply {
+        if !read || !self.cfg.degrade {
             self.stats.fast_fails += 1;
             self.span_mark("fast-fail", || "circuit open".to_string());
-            return Err(self.circuit_open_error());
+            return op.fail(self.circuit_open_error());
         }
-        match op(&mut self.inner) {
-            Ok(r) => {
-                self.staleness.mark_stale();
-                self.span_mark("stale-read", || "served from cache, degraded".to_string());
-                Ok(r)
-            }
-            Err(e) if e.is_transient() => {
-                // The read missed the cache and needed the dead wire.
-                self.stats.fast_fails += 1;
-                self.last_failure = Some(e.to_string());
-                self.span_mark("fast-fail", || "cache miss on dead wire".to_string());
-                Err(self.circuit_open_error())
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The open-circuit path for a vectored read: each range is judged
-    /// on its own — cache-served ranges come back stale, ranges that
-    /// needed the dead wire become [`TargetError::CircuitOpen`].
-    fn degraded_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        if !self.cfg.degrade {
-            self.stats.fast_fails += 1;
-            self.span_mark("fast-fail", || {
-                format!("circuit open, {} ranges", ranges.len())
-            });
-            let e = self.circuit_open_error();
-            return ranges.iter().map(|_| Err(e.clone())).collect();
-        }
-        let results = self.inner.get_bytes_multi(ranges);
-        results
-            .into_iter()
-            .map(|r| match r {
+        let mut reply = op.apply(&mut self.inner);
+        for r in reply.reads_mut() {
+            match r {
                 Ok(()) => {
                     self.staleness.mark_stale();
-                    Ok(())
+                    self.span_mark("stale-read", || "served from cache, degraded".to_string());
                 }
                 Err(e) if e.is_transient() => {
+                    // The read missed the cache and needed the dead wire.
                     self.stats.fast_fails += 1;
                     self.last_failure = Some(e.to_string());
-                    Err(self.circuit_open_error())
+                    self.span_mark("fast-fail", || "cache miss on dead wire".to_string());
+                    *r = Err(self.circuit_open_error());
                 }
-                Err(e) => Err(e),
-            })
-            .collect()
+                Err(_) => {}
+            }
+        }
+        reply
+    }
+
+    /// Runs the health probe piggybacked on every Nth operation.
+    fn periodic_probe(&mut self) {
+        self.stats.probes += 1;
+        if let Err(e) = self.strategy.probe(&mut self.inner) {
+            self.stats.probe_failures += 1;
+            self.last_failure = Some(e.to_string());
+            self.record_failure();
+        } else {
+            self.record_success();
+        }
     }
 }
 
-impl<T: Target> Target for SupervisedTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
+impl<T: Target> crate::Layer for SupervisedTarget<T> {
+    type Inner = T;
+
+    fn below(&self) -> &T {
+        &self.inner
     }
 
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
+    fn below_mut(&mut self) -> &mut T {
+        &mut self.inner
     }
 
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        self.run(OpClass::Read, |t| t.get_bytes(addr, buf))
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        // One batch = one supervised operation: the breaker sees a
-        // failure if any range came back transient, a success otherwise
-        // (faults are the debuggee's honest answer, as in `run`).
+    /// Reads, writes, allocs and calls are supervised; lookups model
+    /// debugger-side tables and pass through. A vectored read is one
+    /// supervised operation: the breaker sees a failure if any range
+    /// came back transient. Faults are the debuggee's honest answer:
+    /// the backend is alive, so they count as healthy outcomes.
+    #[inline(always)]
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        let read = match op {
+            Op::GetBytes { .. } | Op::GetBytesMulti(_) => true,
+            Op::PutBytes { .. } | Op::AllocSpace { .. } | Op::CallFunc { .. } => false,
+            _ => return op.apply(&mut self.inner),
+        };
         self.stats.operations += 1;
-        match self.state {
-            CircuitState::Closed => {}
-            CircuitState::Open | CircuitState::HalfOpen => {
-                if self.cooldown_elapsed() {
-                    if self.try_recover().is_err() {
-                        return self.degraded_multi(ranges);
-                    }
-                    // Recovered: fall through to the closed path.
-                } else {
-                    return self.degraded_multi(ranges);
-                }
-            }
+        if self.state != CircuitState::Closed
+            && !(self.cooldown_elapsed() && self.try_recover().is_ok())
+        {
+            return self.degraded(read, op);
         }
-        let results = self.inner.get_bytes_multi(ranges);
-        let first_transient = results
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .find(|e| e.is_transient());
-        match first_transient {
+        let reply = op.apply(&mut self.inner);
+        match reply.transient() {
             Some(e) => {
                 self.last_failure = Some(e.to_string());
                 self.record_failure();
@@ -752,76 +670,9 @@ impl<T: Target> Target for SupervisedTarget<T> {
             && self.cfg.probe_every > 0
             && self.stats.operations.is_multiple_of(self.cfg.probe_every)
         {
-            self.stats.probes += 1;
-            if let Err(e) = self.strategy.probe(&mut self.inner) {
-                self.stats.probe_failures += 1;
-                self.last_failure = Some(e.to_string());
-                self.record_failure();
-            } else {
-                self.record_success();
-            }
+            self.periodic_probe();
         }
-        results
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        self.run(OpClass::Mutate, |t| t.put_bytes(addr, bytes))
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        self.run(OpClass::Mutate, |t| t.alloc_space(size, align))
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        self.run(OpClass::Mutate, |t| t.call_func(name, args))
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        self.inner.get_variable(name)
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        self.inner.get_variable_in_frame(name, frame)
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        self.inner.lookup_typedef(name)
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_struct(tag)
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_union(tag)
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        self.inner.lookup_enum(tag)
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        self.inner.has_function(name)
-    }
-
-    fn frame_count(&mut self) -> usize {
-        self.inner.frame_count()
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        self.inner.frame_info(n)
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        self.inner.is_mapped(addr, len)
-    }
-
-    fn take_output(&mut self) -> String {
-        self.inner.take_output()
-    }
-
-    fn trace_handle(&self) -> Option<crate::trace::TraceHandle> {
-        self.inner.trace_handle()
+        reply
     }
 
     fn set_span_context(&mut self, spans: &crate::span::SpanContext) {
@@ -829,16 +680,8 @@ impl<T: Target> Target for SupervisedTarget<T> {
         self.inner.set_span_context(spans);
     }
 
-    fn span_context(&self) -> Option<crate::span::SpanContext> {
-        self.inner.span_context()
-    }
-
     fn staleness_handle(&self) -> Option<StalenessHandle> {
         Some(self.staleness.clone())
-    }
-
-    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
-        self.inner.prefetch_submit(ranges)
     }
 
     fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {
@@ -853,25 +696,17 @@ impl<T: Target> Target for SupervisedTarget<T> {
         }
         Some(c)
     }
-
-    fn cache_page_size(&self) -> Option<u64> {
-        self.inner.cache_page_size()
-    }
-
-    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
-        self.inner.pipeline_handle()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CachedTarget;
-    use crate::chaos::{ChaosHandle, ChaosTarget};
+    use crate::fault::{ChaosHandle, FaultTarget};
     use crate::scenario;
     use crate::SimTarget;
 
-    type ChaosTower = CachedTarget<ChaosTarget<SimTarget>>;
+    type ChaosTower = CachedTarget<FaultTarget<SimTarget>>;
 
     /// Reconnect strategy whose "respawn" revives the chaos gate — the
     /// in-process analogue of respawning a dead MI process.
@@ -898,7 +733,7 @@ mod tests {
 
     /// A tower whose reconnect strategy actually heals the backend.
     fn revive_tower() -> (SupervisedTarget<ChaosTower>, ChaosHandle) {
-        let chaos = ChaosTarget::new(scenario::scan_array());
+        let chaos = FaultTarget::gate(scenario::scan_array());
         let handle = chaos.handle();
         let cached = CachedTarget::new(chaos);
         let sup = SupervisedTarget::with_strategy(
@@ -915,7 +750,7 @@ mod tests {
     /// gate is dead, every recovery attempt fails and the breaker stays
     /// open — the setup for degraded-mode tests.
     fn dead_tower() -> (SupervisedTarget<ChaosTower>, ChaosHandle) {
-        let chaos = ChaosTarget::new(scenario::scan_array());
+        let chaos = FaultTarget::gate(scenario::scan_array());
         let handle = chaos.handle();
         let cached = CachedTarget::new(chaos);
         let sup = SupervisedTarget::with_config(cached, SupervisorConfig::fast(2));
@@ -1034,7 +869,7 @@ mod tests {
 
     #[test]
     fn failure_rate_window_trips_without_consecutive_run() {
-        let chaos = ChaosTarget::new(scenario::scan_array());
+        let chaos = FaultTarget::gate(scenario::scan_array());
         let handle = chaos.handle();
         let mut t = SupervisedTarget::with_config(
             chaos,
@@ -1101,7 +936,7 @@ mod tests {
 
     #[test]
     fn periodic_probe_detects_a_silently_dead_backend() {
-        let chaos = ChaosTarget::new(scenario::scan_array());
+        let chaos = FaultTarget::gate(scenario::scan_array());
         let handle = chaos.handle();
         let cached = CachedTarget::new(chaos);
         let mut t = SupervisedTarget::with_config(

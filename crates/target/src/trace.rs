@@ -29,10 +29,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::capture::CaptureCall;
 use crate::error::TargetResult;
-use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo};
+use crate::iface::{ReadRange, Target};
+use crate::layer::{Op, Reply};
 use crate::span::{SpanContext, SpanKind};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
 
 /// The kind of a traced [`Target`] operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -132,7 +133,7 @@ pub enum TraceOutcome {
 }
 
 impl TraceOutcome {
-    fn of_result<R>(r: &TargetResult<R>) -> TraceOutcome {
+    pub(crate) fn of_result<R>(r: &TargetResult<R>) -> TraceOutcome {
         match r {
             Ok(_) => TraceOutcome::Ok,
             Err(e) if e.is_transient() => TraceOutcome::Transient,
@@ -140,11 +141,30 @@ impl TraceOutcome {
         }
     }
 
-    fn of_option<R>(r: &Option<R>) -> TraceOutcome {
-        if r.is_some() {
+    pub(crate) fn of_option<R>(r: &Option<R>) -> TraceOutcome {
+        TraceOutcome::found(r.is_some())
+    }
+
+    pub(crate) fn found(yes: bool) -> TraceOutcome {
+        if yes {
             TraceOutcome::Ok
         } else {
             TraceOutcome::NotFound
+        }
+    }
+
+    /// A vectored read's outcome: transient if any range was, else a
+    /// fault if any range faulted.
+    pub(crate) fn of_results(rs: &[TargetResult<()>]) -> TraceOutcome {
+        if rs
+            .iter()
+            .any(|r| r.as_ref().is_err_and(|e| e.is_transient()))
+        {
+            TraceOutcome::Transient
+        } else if rs.iter().any(|r| r.is_err()) {
+            TraceOutcome::Fault
+        } else {
+            TraceOutcome::Ok
         }
     }
 
@@ -681,233 +701,40 @@ impl<T: Target> TraceTarget<T> {
     pub fn into_inner(self) -> T {
         self.inner
     }
+}
 
-    /// Records one call: skips *everything* (clock, counters, event)
-    /// when tracing is off — the disabled cost is this one relaxed
-    /// load.
-    fn traced<R>(
-        &mut self,
-        op: TraceOp,
-        detail: impl FnOnce() -> String,
-        outcome: impl FnOnce(&R) -> TraceOutcome,
-        call: impl FnOnce(&mut T) -> R,
-    ) -> R {
+impl<T: Target> crate::Layer for TraceTarget<T> {
+    type Inner = T;
+
+    fn below(&self) -> &T {
+        &self.inner
+    }
+
+    fn below_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+
+    /// Records one call. Skips *everything* (clock, counters, event)
+    /// when tracing is off — the disabled cost is one relaxed load.
+    #[inline(always)]
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
         if !self.handle.0.enabled.load(Ordering::Relaxed) {
-            return call(&mut self.inner);
+            return op.apply(&mut self.inner);
         }
+        // take_output is a host-side buffer drain, not a wire op.
+        let Some(kind) = op.trace_op() else {
+            return op.apply(&mut self.inner);
+        };
+        if let Op::GetBytesMulti(ranges) = op {
+            return Reply::Multi(self.traced_multi(ranges));
+        }
+        let detail = CaptureCall::of(&op).detail();
         let at = Attribution::current(&self.spans);
         let start = Instant::now();
-        let r = call(&mut self.inner);
+        let reply = op.apply(&mut self.inner);
         let nanos = start.elapsed().as_nanos() as u64;
-        self.handle.record(op, detail(), outcome(&r), nanos, at);
-        r
-    }
-}
-
-fn addr_len(addr: u64, len: usize) -> String {
-    format!("0x{addr:x}+{len}")
-}
-
-impl<T: Target> Target for TraceTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
-    }
-
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
-    }
-
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        let len = buf.len();
-        self.traced(
-            TraceOp::GetBytes,
-            || addr_len(addr, len),
-            TraceOutcome::of_result,
-            |t| t.get_bytes(addr, buf),
-        )
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        if !self.handle.0.enabled.load(Ordering::Relaxed) {
-            return self.inner.get_bytes_multi(ranges);
-        }
-        let n = ranges.len();
-        let total: usize = ranges.iter().map(|r| r.buf.len()).sum();
-        // A vectored read is the one wire op with visible fan-out:
-        // open a parent span for the batch and record one child per
-        // range, so the export shows exactly what the turn carried.
-        let multi_span = self.spans.push(SpanKind::Wire, "multi_read", || {
-            format!("{n} ranges, {total}b")
-        });
-        let mut at = Attribution::current(&self.spans);
-        let start = Instant::now();
-        let results = self.inner.get_bytes_multi(ranges);
-        let nanos = start.elapsed().as_nanos() as u64;
-        if multi_span != 0 {
-            for (r, res) in ranges.iter().zip(&results) {
-                let outcome = TraceOutcome::of_result(res);
-                let (addr, len) = (r.addr, r.buf.len());
-                self.spans.instant(SpanKind::Range, "range", || {
-                    format!("{} {}", addr_len(addr, len), outcome.name())
-                });
-            }
-            self.spans.pop(multi_span);
-            // The batch event is attributed to the batch span itself —
-            // its parent chain still leads to the causing eval node.
-            at.span = multi_span;
-        }
-        let any_transient = results
-            .iter()
-            .any(|r| r.as_ref().err().is_some_and(|e| e.is_transient()));
-        let outcome = if any_transient {
-            TraceOutcome::Transient
-        } else if results.iter().any(|r| r.is_err()) {
-            TraceOutcome::Fault
-        } else {
-            TraceOutcome::Ok
-        };
-        self.handle
-            .record_multi_at(n, format!("{n} ranges, {total}b"), outcome, nanos, at);
-        results
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        let len = bytes.len();
-        self.traced(
-            TraceOp::PutBytes,
-            || addr_len(addr, len),
-            TraceOutcome::of_result,
-            |t| t.put_bytes(addr, bytes),
-        )
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        self.traced(
-            TraceOp::AllocSpace,
-            || format!("{size}b align {align}"),
-            TraceOutcome::of_result,
-            |t| t.alloc_space(size, align),
-        )
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        self.traced(
-            TraceOp::CallFunc,
-            || format!("{name}({} args)", args.len()),
-            TraceOutcome::of_result,
-            |t| t.call_func(name, args),
-        )
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        self.traced(
-            TraceOp::GetVariable,
-            || name.to_string(),
-            TraceOutcome::of_option,
-            |t| t.get_variable(name),
-        )
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        self.traced(
-            TraceOp::GetVariable,
-            || format!("{name}@frame{frame}"),
-            TraceOutcome::of_option,
-            |t| t.get_variable_in_frame(name, frame),
-        )
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        self.traced(
-            TraceOp::LookupType,
-            || format!("typedef {name}"),
-            TraceOutcome::of_option,
-            |t| t.lookup_typedef(name),
-        )
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        self.traced(
-            TraceOp::LookupType,
-            || format!("struct {tag}"),
-            TraceOutcome::of_option,
-            |t| t.lookup_struct(tag),
-        )
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        self.traced(
-            TraceOp::LookupType,
-            || format!("union {tag}"),
-            TraceOutcome::of_option,
-            |t| t.lookup_union(tag),
-        )
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        self.traced(
-            TraceOp::LookupType,
-            || format!("enum {tag}"),
-            TraceOutcome::of_option,
-            |t| t.lookup_enum(tag),
-        )
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        self.traced(
-            TraceOp::HasFunction,
-            || name.to_string(),
-            |&found: &bool| {
-                if found {
-                    TraceOutcome::Ok
-                } else {
-                    TraceOutcome::NotFound
-                }
-            },
-            |t| t.has_function(name),
-        )
-    }
-
-    fn frame_count(&mut self) -> usize {
-        self.traced(
-            TraceOp::Frames,
-            || "count".to_string(),
-            |_| TraceOutcome::Ok,
-            |t| t.frame_count(),
-        )
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        self.traced(
-            TraceOp::Frames,
-            || format!("frame {n}"),
-            TraceOutcome::of_option,
-            |t| t.frame_info(n),
-        )
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        self.traced(
-            TraceOp::IsMapped,
-            || addr_len(addr, len as usize),
-            |&mapped: &bool| {
-                if mapped {
-                    TraceOutcome::Ok
-                } else {
-                    TraceOutcome::NotFound
-                }
-            },
-            |t| t.is_mapped(addr, len),
-        )
-    }
-
-    fn take_output(&mut self) -> String {
-        // Host-side buffer drain, not a wire operation: never traced.
-        self.inner.take_output()
+        self.handle.record(kind, detail, reply.outcome(), nanos, at);
+        reply
     }
 
     fn trace_handle(&self) -> Option<TraceHandle> {
@@ -925,14 +752,6 @@ impl<T: Target> Target for TraceTarget<T> {
         Some(self.spans.clone())
     }
 
-    fn staleness_handle(&self) -> Option<crate::supervise::StalenessHandle> {
-        self.inner.staleness_handle()
-    }
-
-    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
-        self.inner.prefetch_submit(ranges)
-    }
-
     fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {
         let c = self.inner.prefetch_poll()?;
         // The window's wire read happened below the cache (at submit
@@ -941,7 +760,7 @@ impl<T: Target> Target for TraceTarget<T> {
         // window as one MultiRead here — in both modes — so
         // `wire_turns()` counts every turn exactly once regardless of
         // how the tower executed it.
-        if c.ranges > 0 && self.handle.0.enabled.load(Ordering::Relaxed) {
+        if c.ranges > 0 && self.handle.is_enabled() {
             let outcome = if c.failed > 0 {
                 TraceOutcome::Fault
             } else {
@@ -961,13 +780,39 @@ impl<T: Target> Target for TraceTarget<T> {
         }
         Some(c)
     }
+}
 
-    fn cache_page_size(&self) -> Option<u64> {
-        self.inner.cache_page_size()
-    }
-
-    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
-        self.inner.pipeline_handle()
+impl<T: Target> TraceTarget<T> {
+    /// A vectored read is the one wire op with visible fan-out: it
+    /// opens a parent span for the batch and records one child per
+    /// range, so the export shows exactly what the turn carried.
+    fn traced_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
+        let n = ranges.len();
+        let total: usize = ranges.iter().map(|r| r.buf.len()).sum();
+        let multi_span = self.spans.push(SpanKind::Wire, "multi_read", || {
+            format!("{n} ranges, {total}b")
+        });
+        let mut at = Attribution::current(&self.spans);
+        let start = Instant::now();
+        let results = self.inner.get_bytes_multi(ranges);
+        let nanos = start.elapsed().as_nanos() as u64;
+        if multi_span != 0 {
+            for (r, res) in ranges.iter().zip(&results) {
+                let outcome = TraceOutcome::of_result(res);
+                let (addr, len) = (r.addr, r.buf.len());
+                self.spans.instant(SpanKind::Range, "range", || {
+                    format!("0x{addr:x}+{len} {}", outcome.name())
+                });
+            }
+            self.spans.pop(multi_span);
+            // The batch event is attributed to the batch span itself —
+            // its parent chain still leads to the causing eval node.
+            at.span = multi_span;
+        }
+        let outcome = TraceOutcome::of_results(&results);
+        self.handle
+            .record_multi_at(n, format!("{n} ranges, {total}b"), outcome, nanos, at);
+        results
     }
 }
 

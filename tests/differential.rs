@@ -237,7 +237,7 @@ proptest! {
         chaos_span in 20u64..200,
     ) {
         use duel::target::{
-            AsyncTarget, CacheConfig, CachedTarget, ChaosTarget, RetryPolicy, RetryTarget,
+            AsyncTarget, CacheConfig, CachedTarget, FaultTarget, RetryPolicy, RetryTarget,
         };
         let idx: Vec<String> = spans
             .iter()
@@ -251,7 +251,7 @@ proptest! {
             ..Default::default()
         };
         let run = |pipeline: bool| {
-            let gate = ChaosTarget::new(scenario::scan_array());
+            let gate = FaultTarget::gate(scenario::scan_array());
             let h = gate.handle();
             if chaos_events > 0 {
                 h.campaign(chaos_seed, chaos_events, chaos_span);
