@@ -758,15 +758,19 @@ impl<T: MiTransport> Target for MiTarget<T> {
             return true;
         }
         // Probe the first and last byte; MI has no mapping query, so a
-        // read attempt is the portable check (as gdb users do).
-        let mut b = [0u8; 1];
-        if self.get_bytes(addr, &mut b).is_err() {
-            return false;
+        // read attempt is the portable check (as gdb users do). Both
+        // probes go out in one pipelined turn.
+        let mut cmds = vec![command::read_memory_bytes(addr, 1)];
+        if len > 1 {
+            cmds.push(command::read_memory_bytes(addr + len - 1, 1));
         }
-        if len > 1 && self.get_bytes(addr + len - 1, &mut b).is_err() {
+        let Ok(replies) = self.client.execute_batch(&cmds) else {
             return false;
-        }
-        true
+        };
+        replies.iter().all(|r| {
+            r.as_ref()
+                .is_ok_and(|r| decode_read_reply(r, &mut [0u8]).is_ok())
+        })
     }
 
     fn take_output(&mut self) -> String {
@@ -847,13 +851,61 @@ mod tests {
         assert!(t.lookup_enum("nope").is_none());
     }
 
+    /// Counts round trips over a [`MockGdb`]: a burst of sends answered
+    /// by a burst of receives is one turn.
+    struct TurnCounter {
+        inner: MockGdb,
+        turns: std::rc::Rc<std::cell::Cell<u64>>,
+        awaiting: bool,
+    }
+
+    impl MiTransport for TurnCounter {
+        fn send_line(&mut self, line: &str) -> Result<(), MiError> {
+            self.awaiting = true;
+            self.inner.send_line(line)
+        }
+
+        fn recv_line(&mut self) -> Result<String, MiError> {
+            if std::mem::take(&mut self.awaiting) {
+                self.turns.set(self.turns.get() + 1);
+            }
+            self.inner.recv_line()
+        }
+    }
+
     #[test]
     fn is_mapped_probes() {
-        let mut t = connect(scenario::scan_array());
+        let turns = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut t = MiTarget::connect(TurnCounter {
+            inner: MockGdb::new(scenario::scan_array()),
+            turns: turns.clone(),
+            awaiting: false,
+        })
+        .unwrap();
         let x = t.get_variable("x").unwrap();
         assert!(t.is_mapped(x.addr, 4));
         assert!(!t.is_mapped(0, 1));
         assert!(!t.is_mapped(0xdead_beef_0000, 8));
+        // Both ends are probed in one round trip, and the answer is the
+        // simulator's: scan_array's arena is 240 bytes from x, so these
+        // are mapped, straddling its end, and wholly past it.
+        let mut sim = scenario::scan_array();
+        let cases = [
+            (x.addr, 1),
+            (x.addr, 240),
+            (x.addr + 236, 8),
+            (x.addr + 240, 4),
+            (0x10, 4),
+        ];
+        for (addr, len) in cases {
+            let before = turns.get();
+            assert_eq!(
+                t.is_mapped(addr, len),
+                sim.is_mapped(addr, len),
+                "0x{addr:x}+{len}"
+            );
+            assert_eq!(turns.get() - before, 1, "0x{addr:x}+{len}");
+        }
     }
 
     // ---- MI error-record → TargetError mapping --------------------------

@@ -9,8 +9,12 @@
 //!
 //! * **Page cache** — `get_bytes` is served from page-granular cached
 //!   reads. A miss fetches the whole aligned page in one backend call,
-//!   so adjacent element reads coalesce; pages are evicted LRU once
-//!   [`CacheConfig::max_pages`] is reached.
+//!   so adjacent element reads coalesce; pages are evicted LRU (exact,
+//!   O(1) amortized) once [`CacheConfig::max_pages`] is reached.
+//! * **Mapping by fill** — `is_mapped` is answered by resident pages,
+//!   or by fetching the range's missing pages (at most two, one inner
+//!   turn) so the read that follows is a hit; anything else asks the
+//!   backend, whose answer it always equals.
 //! * **Lookup memoization** — `get_variable`, `lookup_typedef`,
 //!   `lookup_struct`/`lookup_union`/`lookup_enum`, `has_function`,
 //!   `frame_count` and `frame_info` results (including negative
@@ -175,6 +179,11 @@ pub struct CachedTarget<T: Target> {
     inner: T,
     cfg: CacheConfig,
     pages: HashMap<u64, Page>,
+    /// Exact LRU order in O(1) amortized: every stamp a page is given,
+    /// queued in stamp order. An entry is live while its page still
+    /// carries that stamp, so the first live entry is the page with the
+    /// smallest stamp — the victim a scan over `pages` would pick.
+    lru: VecDeque<(u64, u64)>,
     tick: u64,
     epoch: u64,
     stats: CacheStats,
@@ -206,6 +215,7 @@ impl<T: Target> CachedTarget<T> {
             inner,
             cfg: cfg.normalized(),
             pages: HashMap::new(),
+            lru: VecDeque::new(),
             tick: 0,
             epoch: 0,
             stats: CacheStats::default(),
@@ -313,6 +323,7 @@ impl<T: Target> CachedTarget<T> {
     /// a running one is not.
     pub fn invalidate_all(&mut self) {
         self.pages.clear();
+        self.lru.clear();
         self.lookups.clear();
         self.epoch += 1;
         self.page_gen += 1;
@@ -323,27 +334,31 @@ impl<T: Target> CachedTarget<T> {
     /// and types do not move when the debuggee writes memory).
     fn drop_pages(&mut self) {
         self.pages.clear();
+        self.lru.clear();
         self.page_gen += 1;
     }
 
-    fn touch(&mut self, base: u64) {
-        self.tick += 1;
-        if let Some(p) = self.pages.get_mut(&base) {
-            p.stamp = self.tick;
+    /// Queues the stamp just given to the page at `base`. Stale entries
+    /// are dropped once the queue outgrows 4·`max_pages`, so both the
+    /// queue's size and the work per use stay O(1) amortized.
+    fn queue_stamp(&mut self, base: u64, stamp: u64) {
+        self.lru.push_back((base, stamp));
+        if self.lru.len() > self.cfg.max_pages.saturating_mul(4) {
+            let pages = &self.pages;
+            self.lru
+                .retain(|&(b, s)| pages.get(&b).is_some_and(|p| p.stamp == s));
         }
     }
 
     fn insert_page(&mut self, base: u64, bytes: Vec<u8>) {
         if self.pages.len() >= self.cfg.max_pages && !self.pages.contains_key(&base) {
-            // Evict the least-recently-used page. Linear scan is fine:
-            // it only runs at capacity and max_pages bounds it.
-            if let Some(&victim) = self
-                .pages
-                .iter()
-                .min_by_key(|(_, p)| p.stamp)
-                .map(|(b, _)| b)
-            {
-                self.pages.remove(&victim);
+            // Evict the least-recently-used page: the first queue entry
+            // whose page still carries its stamp.
+            while let Some((b, stamp)) = self.lru.pop_front() {
+                if self.pages.get(&b).is_some_and(|p| p.stamp == stamp) {
+                    self.pages.remove(&b);
+                    break;
+                }
             }
         }
         self.tick += 1;
@@ -354,21 +369,23 @@ impl<T: Target> CachedTarget<T> {
                 stamp: self.tick,
             },
         );
+        self.queue_stamp(base, self.tick);
     }
 
     /// Reads `[addr, addr+len)` where the whole range lies inside the
     /// page based at `base`, going through the cache.
     fn read_within_page(&mut self, base: u64, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
         let off = (addr - base) as usize;
-        if let Some(p) = self.pages.get(&base) {
+        if let Some(p) = self.pages.get_mut(&base) {
             // Partial pages (at the edge of mapped memory) may not
             // cover the tail of the request; anything they do cover is
             // a hit.
             if off + buf.len() <= p.bytes.len() {
-                self.stats.page_hits += 1;
-                self.touch(base);
-                let p = &self.pages[&base];
                 buf.copy_from_slice(&p.bytes[off..off + buf.len()]);
+                self.tick += 1;
+                p.stamp = self.tick;
+                self.stats.page_hits += 1;
+                self.queue_stamp(base, self.tick);
                 return Ok(());
             }
             return self.read_exact_uncached(addr, buf);
@@ -656,15 +673,18 @@ impl<T: Target> CachedTarget<T> {
     /// was readable when fetched, and `is_mapped` needs no probe.
     /// Partial pages only vouch for the prefix they actually hold.
     fn resident(&self, addr: u64, len: u64) -> bool {
-        if !self.cfg.enabled || len == 0 {
+        let Some(end) = addr
+            .checked_add(len)
+            .filter(|_| self.cfg.enabled && len > 0)
+        else {
             return false;
-        }
+        };
         let ps = self.cfg.page_size;
-        let last = (addr + len - 1) & !(ps - 1);
+        let last = (end - 1) & !(ps - 1);
         let mut base = addr & !(ps - 1);
         loop {
             let covered_to = base + self.pages.get(&base).map_or(0, |p| p.bytes.len() as u64);
-            if covered_to < (addr + len).min(base + ps) {
+            if covered_to < end.min(base + ps) {
                 return false;
             }
             if base >= last {
@@ -672,6 +692,83 @@ impl<T: Target> CachedTarget<T> {
             }
             base += ps;
         }
+    }
+
+    /// The miss path of `is_mapped`. MI has no mapping query, so the
+    /// answer is a read attempt either way: fetch the missing pages of
+    /// a range of at most two pages in one inner turn, and if they all
+    /// arrive the range is mapped and the read that follows is a hit.
+    /// Everything else — a fault, a transient error, a partial page
+    /// already resident, a longer range, a disabled cache — asks the
+    /// backend, so every answer is the backend's.
+    #[inline(never)]
+    fn mapped_miss(&mut self, addr: u64, len: u64) -> bool {
+        self.fill_range(addr, len) || self.inner.is_mapped(addr, len)
+    }
+
+    /// Fetches the non-resident pages of `[addr, addr+len)` — a scalar
+    /// read for one page, one vectored read for two — and caches those
+    /// that arrive whole. True when every one arrived, so the range is
+    /// readable; false when it sent nothing or any page failed.
+    fn fill_range(&mut self, addr: u64, len: u64) -> bool {
+        let Some(end) = addr
+            .checked_add(len)
+            .filter(|_| self.cfg.enabled && len > 0)
+        else {
+            return false;
+        };
+        let ps = self.cfg.page_size;
+        let first = addr & !(ps - 1);
+        let last = (end - 1) & !(ps - 1);
+        if last - first > ps {
+            return false;
+        }
+        let n = if first == last { 1 } else { 2 };
+        let mut missing = [None; 2];
+        for (slot, &base) in missing.iter_mut().zip(&[first, last][..n]) {
+            match self.pages.get(&base) {
+                // A partial page vouches only for its prefix; the
+                // probe that found it is not repeated here.
+                Some(p) if (p.bytes.len() as u64) < ps => return false,
+                Some(_) => {}
+                None => *slot = Some(base),
+            }
+        }
+        let fill_span =
+            self.span_open("fill", || format!("page 0x{first:x}+{}", last - first + ps));
+        let ok = match missing {
+            [Some(base), None] | [None, Some(base)] => {
+                let mut page = vec![0u8; ps as usize];
+                self.stats.page_misses += 1;
+                self.stats.backend_reads += 1;
+                let ok = self.inner.get_bytes(base, &mut page).is_ok();
+                if ok {
+                    self.stats.wire_bytes += ps;
+                    self.insert_page(base, page);
+                }
+                ok
+            }
+            [Some(a), Some(b)] => {
+                let (mut pa, mut pb) = (vec![0u8; ps as usize], vec![0u8; ps as usize]);
+                self.stats.page_misses += 2;
+                self.stats.backend_reads += 1;
+                let results = self
+                    .inner
+                    .get_bytes_multi(&mut [ReadRange::new(a, &mut pa), ReadRange::new(b, &mut pb)]);
+                let mut ok = results.len() == 2;
+                for ((base, page), res) in [(a, pa), (b, pb)].into_iter().zip(results) {
+                    ok &= res.is_ok();
+                    if res.is_ok() {
+                        self.stats.wire_bytes += ps;
+                        self.insert_page(base, page);
+                    }
+                }
+                ok
+            }
+            [None, None] => false,
+        };
+        self.span_close(fill_span);
+        ok
     }
 
     /// A symbol, type or frame lookup, memoized (negative answers too)
@@ -743,7 +840,7 @@ impl<T: Target> crate::Layer for CachedTarget<T> {
                 r
             }
             Op::IsMapped { addr, len } => {
-                Reply::Flag(self.resident(addr, len) || self.inner.is_mapped(addr, len))
+                Reply::Flag(self.resident(addr, len) || self.mapped_miss(addr, len))
             }
             _ => self.memoized(op),
         }
@@ -1204,12 +1301,30 @@ mod tests {
 
     /// Delegates to a [`crate::SimTarget`] but injects exactly one
     /// transient backend error on the `flake_at`-th `get_bytes` call
-    /// (1-based) — the minimal harness for a wire flake that lands in
-    /// the middle of a prefix probe.
+    /// (1-based; 0 never flakes) — the minimal harness for a wire flake
+    /// that lands in the middle of a prefix probe. `log` names every op
+    /// that reached it.
     struct FlakyProbe {
         inner: crate::SimTarget,
         ops: u64,
         flake_at: u64,
+        log: Vec<&'static str>,
+    }
+
+    fn flaky(flake_at: u64, page_size: u64) -> CachedTarget<FlakyProbe> {
+        let probe = FlakyProbe {
+            inner: scenario::scan_array(),
+            ops: 0,
+            flake_at,
+            log: Vec::new(),
+        };
+        CachedTarget::with_config(
+            probe,
+            CacheConfig {
+                page_size,
+                ..CacheConfig::default()
+            },
+        )
     }
 
     impl crate::Layer for FlakyProbe {
@@ -1221,6 +1336,7 @@ mod tests {
             &mut self.inner
         }
         fn call(&mut self, op: Op<'_, '_>) -> Reply {
+            self.log.push(op.name());
             if let Op::GetBytes { .. } = op {
                 self.ops += 1;
                 if self.ops == self.flake_at {
@@ -1237,18 +1353,7 @@ mod tests {
         // fetch faults, so the cache bisects for the readable prefix.
         // Call 1 is the page fetch; call 2 is the first bisection step —
         // flake exactly there.
-        let flaky = FlakyProbe {
-            inner: scenario::scan_array(),
-            ops: 0,
-            flake_at: 2,
-        };
-        let mut t = CachedTarget::with_config(
-            flaky,
-            CacheConfig {
-                page_size: 4096,
-                ..CacheConfig::default()
-            },
-        );
+        let mut t = flaky(2, 4096);
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];
         // The flaked probe aborts; the exact fallback still answers,
@@ -1271,6 +1376,110 @@ mod tests {
         t.get_bytes(x.addr + 188, &mut buf).unwrap();
         assert_eq!(i32::from_le_bytes(buf), 6);
         assert_eq!(t.stats().backend_reads, reads);
+    }
+
+    #[test]
+    fn cold_is_mapped_costs_one_read_and_warms_the_page() {
+        let mut t = flaky(0, 64);
+        let x = t.get_variable("x").unwrap();
+        t.inner_mut().log.clear();
+        assert!(t.is_mapped(x.addr + 8, 8));
+        assert_eq!(t.inner().log, ["get_bytes"], "the fill is the probe");
+        assert_eq!(t.stats().backend_reads, 1);
+        let mut buf = [0u8; 4];
+        t.get_bytes(x.addr + 12, &mut buf).unwrap();
+        assert_eq!(i32::from_le_bytes(buf), 7);
+        assert_eq!(t.stats().backend_reads, 1, "the read is a page hit");
+        assert_eq!(t.stats().page_hits, 1);
+        assert_eq!(t.inner().log, ["get_bytes"]);
+    }
+
+    #[test]
+    fn two_page_is_mapped_is_one_vectored_turn() {
+        let mut t = flaky(0, 64);
+        let x = t.get_variable("x").unwrap();
+        t.inner_mut().log.clear();
+        assert!(t.is_mapped(x.addr + 60, 8));
+        assert_eq!(t.inner().log, ["get_bytes_multi"]);
+        assert_eq!(t.stats().backend_reads, 1);
+        assert_eq!(t.resident_pages().len(), 2);
+        // Longer ranges are not filled: the backend answers.
+        t.inner_mut().log.clear();
+        assert!(t.is_mapped(x.addr + 60, 100));
+        assert_eq!(t.inner().log, ["is_mapped"]);
+        assert_eq!(t.stats().backend_reads, 1);
+    }
+
+    #[test]
+    fn unmapped_is_mapped_caches_nothing_and_asks_the_backend() {
+        let mut t = flaky(0, 64);
+        assert!(!t.is_mapped(0x10, 4));
+        assert_eq!(t.inner().log, ["get_bytes", "is_mapped"]);
+        assert!(t.resident_pages().is_empty());
+    }
+
+    #[test]
+    fn arena_edge_is_mapped_answers_like_the_backend() {
+        // scan_array's 240-byte arena ends inside its fourth 64-byte
+        // page, so a fill of that page faults.
+        let mut t = flaky(0, 64);
+        let x = t.get_variable("x").unwrap();
+        let mut sim = scenario::scan_array();
+        for (off, len) in [(236, 4), (236, 8), (240, 1), (200, 40)] {
+            let addr = x.addr + off;
+            assert_eq!(t.is_mapped(addr, len), sim.is_mapped(addr, len), "+{off}");
+        }
+        assert!(
+            t.resident_pages().is_empty(),
+            "a faulted fill caches nothing"
+        );
+        // Once a read has probed the partial page, it answers for its
+        // prefix and defers to the backend past it, without a fill.
+        let mut buf = [0u8; 4];
+        t.get_bytes(x.addr + 200, &mut buf).unwrap();
+        assert_eq!(t.resident_pages()[0].1.len(), 48);
+        let reads = t.stats().backend_reads;
+        t.inner_mut().log.clear();
+        assert!(t.is_mapped(x.addr + 236, 4));
+        assert!(!t.is_mapped(x.addr + 236, 8));
+        assert_eq!(t.inner().log, ["is_mapped"]);
+        assert_eq!(t.stats().backend_reads, reads);
+    }
+
+    #[test]
+    fn transient_fill_caches_nothing_and_asks_the_backend() {
+        let mut t = flaky(1, 64);
+        let x = t.get_variable("x").unwrap();
+        assert!(t.is_mapped(x.addr, 4));
+        assert_eq!(t.inner().log, ["get_variable", "get_bytes", "is_mapped"]);
+        assert!(t.resident_pages().is_empty());
+    }
+
+    #[test]
+    fn disabled_cache_forwards_is_mapped_unchanged() {
+        let mut t = flaky(0, 64);
+        t.set_enabled(false);
+        let x = t.get_variable("x").unwrap();
+        t.inner_mut().log.clear();
+        assert!(t.is_mapped(x.addr, 4));
+        assert!(!t.is_mapped(0x10, 4));
+        assert_eq!(t.inner().log, ["is_mapped", "is_mapped"]);
+        assert_eq!(t.stats().backend_reads, 0);
+    }
+
+    #[test]
+    fn lru_queue_stays_bounded_under_hits() {
+        let mut t = counted(CacheConfig {
+            page_size: 8,
+            max_pages: 2,
+            ..CacheConfig::default()
+        });
+        let x = t.get_variable("x").unwrap();
+        let mut buf = [0u8; 4];
+        for i in 0..1000u64 {
+            t.get_bytes(x.addr + (i % 3) * 8, &mut buf).unwrap();
+            assert!(t.lru.len() <= 8, "{}", t.lru.len());
+        }
     }
 
     #[test]

@@ -277,3 +277,346 @@ proptest! {
         prop_assert_eq!(sync, piped, "expression `{}`", src);
     }
 }
+
+/// One step of a page-cache session.
+#[derive(Clone, Debug)]
+enum CacheOp {
+    Read(u64, usize),
+    ReadMulti(Vec<(u64, usize)>),
+    Write(u64, Vec<u8>),
+    IsMapped(u64, u64),
+    Invalidate,
+}
+
+/// The page cache written the simple way: a map of pages, and on
+/// eviction a linear scan for the smallest use stamp. It mirrors
+/// `CachedTarget`'s observable contract — returned bytes, answers,
+/// resident pages and the count of reads sent below the cache — over a
+/// `SimTarget`, which never fails transiently.
+struct RefCache {
+    sim: duel::target::SimTarget,
+    page_size: u64,
+    max_pages: usize,
+    pages: std::collections::BTreeMap<u64, (Vec<u8>, u64)>,
+    tick: u64,
+    backend_reads: u64,
+}
+
+impl RefCache {
+    fn backend_read(&mut self, addr: u64, buf: &mut [u8]) -> duel::target::TargetResult<()> {
+        use duel::target::Target;
+        self.backend_reads += 1;
+        self.sim.get_bytes(addr, buf)
+    }
+
+    fn insert(&mut self, base: u64, bytes: Vec<u8>) {
+        if self.pages.len() >= self.max_pages && !self.pages.contains_key(&base) {
+            let victim = *self.pages.iter().min_by_key(|(_, p)| p.1).unwrap().0;
+            self.pages.remove(&victim);
+        }
+        self.tick += 1;
+        self.pages.insert(base, (bytes, self.tick));
+    }
+
+    fn page_range(&self, addr: u64, len: u64) -> std::ops::RangeInclusive<u64> {
+        let ps = self.page_size;
+        (addr & !(ps - 1))..=((addr + len - 1) & !(ps - 1))
+    }
+
+    fn read(&mut self, addr: u64, buf: &mut [u8]) -> duel::target::TargetResult<()> {
+        let ps = self.page_size;
+        let mut pos = 0;
+        while pos < buf.len() {
+            let cur = addr + pos as u64;
+            let base = cur & !(ps - 1);
+            let take = ((base + ps - cur) as usize).min(buf.len() - pos);
+            self.read_in_page(base, cur, &mut buf[pos..pos + take])?;
+            pos += take;
+        }
+        Ok(())
+    }
+
+    fn read_in_page(
+        &mut self,
+        base: u64,
+        addr: u64,
+        buf: &mut [u8],
+    ) -> duel::target::TargetResult<()> {
+        let off = (addr - base) as usize;
+        let end = off + buf.len();
+        if let Some(p) = self.pages.get_mut(&base) {
+            if end > p.0.len() {
+                return self.backend_read(addr, buf);
+            }
+            self.tick += 1;
+            p.1 = self.tick;
+            buf.copy_from_slice(&p.0[off..end]);
+            return Ok(());
+        }
+        let mut page = vec![0u8; self.page_size as usize];
+        if self.backend_read(base, &mut page).is_ok() {
+            buf.copy_from_slice(&page[off..end]);
+            self.insert(base, page);
+            return Ok(());
+        }
+        // The page straddles the arena's end: bisect for the readable
+        // prefix, re-read it, and cache it as a partial page.
+        let (mut lo, mut hi) = (0, page.len());
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.backend_read(base, &mut page[..mid]).is_ok() {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo > 0 {
+            self.backend_read(base, &mut page[..lo]).unwrap();
+            self.insert(base, page[..lo].to_vec());
+        }
+        if end <= lo {
+            buf.copy_from_slice(&page[off..end]);
+            return Ok(());
+        }
+        self.backend_read(addr, buf)
+    }
+
+    /// Every missing page of every range in one backend turn, then each
+    /// range served as a scalar read.
+    fn read_multi(&mut self, ranges: &[(u64, usize)]) -> Vec<(bool, Vec<u8>)> {
+        use duel::target::Target;
+        let mut missing: Vec<u64> = Vec::new();
+        for &(addr, len) in ranges {
+            for base in self
+                .page_range(addr, len as u64)
+                .step_by(self.page_size as usize)
+            {
+                if !self.pages.contains_key(&base) && !missing.contains(&base) {
+                    missing.push(base);
+                }
+            }
+        }
+        if !missing.is_empty() {
+            self.backend_reads += 1;
+            for base in missing {
+                let mut page = vec![0u8; self.page_size as usize];
+                if self.sim.get_bytes(base, &mut page).is_ok() {
+                    self.insert(base, page);
+                }
+            }
+        }
+        ranges
+            .iter()
+            .map(|&(addr, len)| {
+                let mut buf = vec![0u8; len];
+                (self.read(addr, &mut buf).is_ok(), buf)
+            })
+            .collect()
+    }
+
+    fn write(&mut self, addr: u64, bytes: &[u8]) -> bool {
+        use duel::target::Target;
+        let ps = self.page_size;
+        if self.sim.put_bytes(addr, bytes).is_err() {
+            let first = addr & !(ps - 1);
+            let last = (addr + bytes.len() as u64) & !(ps - 1);
+            self.pages.retain(|&b, _| b < first || b > last);
+            return false;
+        }
+        for (i, &byte) in bytes.iter().enumerate() {
+            let a = addr + i as u64;
+            if let Some(p) = self.pages.get_mut(&(a & !(ps - 1))) {
+                if let Some(slot) = p.0.get_mut((a & (ps - 1)) as usize) {
+                    *slot = byte;
+                }
+            }
+        }
+        true
+    }
+
+    fn covers(&self, addr: u64, len: u64) -> bool {
+        let ps = self.page_size;
+        len > 0
+            && self.page_range(addr, len).step_by(ps as usize).all(|base| {
+                let held = self.pages.get(&base).map_or(0, |p| p.0.len() as u64);
+                base + held >= (addr + len).min(base + ps)
+            })
+    }
+
+    /// Resident pages answer; otherwise a range of at most two pages,
+    /// none of them partial, is fetched in one turn and answers if it
+    /// now is resident; everything else asks the backend.
+    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
+        use duel::target::Target;
+        if self.covers(addr, len) {
+            return true;
+        }
+        let ps = self.page_size;
+        let bases: Vec<u64> = if len == 0 {
+            Vec::new()
+        } else {
+            self.page_range(addr, len).step_by(ps as usize).collect()
+        };
+        let partial = bases
+            .iter()
+            .any(|b| self.pages.get(b).is_some_and(|p| (p.0.len() as u64) < ps));
+        let missing: Vec<u64> = bases
+            .iter()
+            .copied()
+            .filter(|b| !self.pages.contains_key(b))
+            .collect();
+        if bases.len() <= 2 && !partial && !missing.is_empty() {
+            self.backend_reads += 1;
+            for base in missing {
+                let mut page = vec![0u8; ps as usize];
+                if self.sim.get_bytes(base, &mut page).is_ok() {
+                    self.insert(base, page);
+                }
+            }
+            if self.covers(addr, len) {
+                return true;
+            }
+        }
+        self.sim.is_mapped(addr, len)
+    }
+
+    fn resident_pages(&self) -> Vec<(u64, Vec<u8>)> {
+        self.pages.iter().map(|(&b, p)| (b, p.0.clone())).collect()
+    }
+}
+
+/// An address near one of the combined scenario's two arena edges, as
+/// (edge, offset): edge 0 is the start of its memory (0x1000), 1 the end.
+type Spot = (u8, i64);
+
+/// A cache step before it is decoded: (kind, ranges, byte).
+type RawCacheOp = (u8, Vec<(Spot, u64)>, u8);
+
+fn cache_addr() -> impl Strategy<Value = Spot> {
+    (0u8..2, -160i64..160)
+}
+
+fn cache_op() -> impl Strategy<Value = RawCacheOp> {
+    (
+        0u8..9,
+        prop::collection::vec((cache_addr(), 1u64..40), 1..4),
+        0u8..=255,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 128, ..ProptestConfig::default()
+    })]
+
+    /// `CachedTarget`'s O(1) LRU evicts exactly the page a linear scan
+    /// for the oldest stamp would, and its fill-backed `is_mapped`
+    /// answers exactly as the bare backend: over random reads, vectored
+    /// reads, writes, mapping queries and invalidations near both arena
+    /// edges, the cache and a simple reference model agree step for step
+    /// on bytes, results, answers, resident pages and backend reads.
+    #[test]
+    fn page_cache_matches_the_linear_scan_lru(
+        steps in prop::collection::vec(cache_op(), 1..60),
+        page_exp in 3u32..7,
+        max_pages in 1usize..=8,
+    ) {
+        use duel::target::{CacheConfig, CachedTarget, Target};
+        let page_size = 1u64 << page_exp;
+        let mut cached = CachedTarget::with_config(
+            scenario::combined(),
+            CacheConfig { page_size, max_pages, ..CacheConfig::default() },
+        );
+        let mut model = RefCache {
+            sim: scenario::combined(),
+            page_size,
+            max_pages,
+            pages: Default::default(),
+            tick: 0,
+            backend_reads: 0,
+        };
+        let mut bare = scenario::combined();
+        // The arena is one flat range from 0x1000; find its end.
+        let (mut lo, mut hi) = (0u64, 1u64 << 28);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if bare.is_mapped(0x1000, mid) { lo = mid } else { hi = mid }
+        }
+        let arena_end = 0x1000 + lo;
+        let at = |(end, off): Spot| {
+            (if end == 1 { arena_end } else { 0x1000 }).wrapping_add_signed(off)
+        };
+        for (i, (kind, ranges, byte)) in steps.into_iter().enumerate() {
+            let (addr, len) = (at(ranges[0].0), ranges[0].1);
+            let op = match kind {
+                0..=2 => CacheOp::Read(addr, len as usize),
+                3 => CacheOp::ReadMulti(
+                    ranges.iter().map(|&(a, n)| (at(a), n as usize)).collect(),
+                ),
+                4 => CacheOp::Write(addr, vec![byte; 1 + len as usize % 8]),
+                // Up to four pages of the largest page size, and empty.
+                5..=7 => CacheOp::IsMapped(addr, (len * byte as u64) % (4 * 64)),
+                _ => CacheOp::Invalidate,
+            };
+            match &op {
+                CacheOp::Read(addr, len) => {
+                    let mut got = vec![0u8; *len];
+                    let mut want = vec![0u8; *len];
+                    let (g, w) = (cached.get_bytes(*addr, &mut got), model.read(*addr, &mut want));
+                    prop_assert_eq!(g.is_ok(), w.is_ok(), "step {}: {:?}", i, op);
+                    if w.is_ok() {
+                        prop_assert_eq!(got, want, "step {}: {:?}", i, op);
+                    }
+                }
+                CacheOp::ReadMulti(ranges) => {
+                    let mut bufs: Vec<Vec<u8>> =
+                        ranges.iter().map(|&(_, n)| vec![0u8; n]).collect();
+                    let mut reqs: Vec<duel::target::ReadRange<'_>> = ranges
+                        .iter()
+                        .zip(bufs.iter_mut())
+                        .map(|(&(a, _), b)| duel::target::ReadRange::new(a, b))
+                        .collect();
+                    let results = cached.get_bytes_multi(&mut reqs);
+                    drop(reqs);
+                    let want = model.read_multi(ranges);
+                    for (j, ((r, got), (ok, w))) in
+                        results.iter().zip(&bufs).zip(&want).enumerate()
+                    {
+                        prop_assert_eq!(r.is_ok(), *ok, "step {} range {}: {:?}", i, j, op);
+                        if *ok {
+                            prop_assert_eq!(got, w, "step {} range {}: {:?}", i, j, op);
+                        }
+                    }
+                }
+                CacheOp::Write(addr, bytes) => {
+                    let g = cached.put_bytes(*addr, bytes).is_ok();
+                    prop_assert_eq!(g, model.write(*addr, bytes), "step {}: {:?}", i, op);
+                    let _ = bare.put_bytes(*addr, bytes);
+                }
+                CacheOp::IsMapped(addr, len) => {
+                    let g = cached.is_mapped(*addr, *len);
+                    prop_assert_eq!(g, bare.is_mapped(*addr, *len), "step {}: {:?}", i, op);
+                    prop_assert_eq!(g, model.is_mapped(*addr, *len), "step {}: {:?}", i, op);
+                }
+                CacheOp::Invalidate => {
+                    cached.invalidate_all();
+                    model.pages.clear();
+                }
+            }
+            prop_assert_eq!(
+                cached.resident_pages(),
+                model.resident_pages(),
+                "step {}: {:?}",
+                i,
+                op
+            );
+            prop_assert_eq!(
+                cached.stats().backend_reads,
+                model.backend_reads,
+                "step {}: {:?}",
+                i,
+                op
+            );
+        }
+    }
+}
