@@ -248,8 +248,10 @@ DUEL commands:
                      tagged <stale> instead of failing (default: on)
   .set prefetch on|off
                      generator-aware prefetch: warm the cache with one
-                     vectored read before contiguous scans (`x[a..b]`)
-                     and structure walks (default: off)
+                     vectored read before contiguous scans (`x[a..b]`),
+                     and fetch `-->` walks over field links one tree
+                     level per read (`hash[..n]-->next`,
+                     `root-->(left,right)`) (default: off)
   .set pipeline on|off
                      asynchronous wire pipeline: run the backend on an
                      I/O actor thread and double-buffer prefetch

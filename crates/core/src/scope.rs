@@ -70,6 +70,12 @@ pub struct Ctx<'a> {
     /// Windows that were in flight on the I/O actor while the evaluator
     /// kept consuming (double-buffered submissions).
     pub windows_inflight: u64,
+    /// Prefetch submissions the tower accepted during this evaluation;
+    /// submission `k` (0-based) completes as the `k+1`-th poll, because
+    /// completions come back oldest first.
+    pub prefetch_submitted: u64,
+    /// Prefetch completions polled so far during this evaluation.
+    pub prefetch_applied: u64,
     /// Per-node cost collector; present only while `.profile` runs.
     pub profile: Option<Box<crate::profile::ProfileCollector>>,
     /// Causal span context discovered from the target tower (present
@@ -111,6 +117,8 @@ impl<'a> Ctx<'a> {
             prefetch_ranges: 0,
             windows_planned: 0,
             windows_inflight: 0,
+            prefetch_submitted: 0,
+            prefetch_applied: 0,
             profile: None,
             spans,
             deadline,

@@ -547,6 +547,29 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_chases_walks_one_level_per_turn() {
+        use duel_target::{CacheConfig, CachedTarget, TraceTarget};
+        let run = |prefetch: bool| {
+            let wire = TraceTarget::with_label(scenario::bench_hash_scattered(64, 8, 3), "wire");
+            let handle = wire.handle();
+            handle.set_enabled(true);
+            let mut t = CachedTarget::with_config(wire, CacheConfig::default());
+            let mut s = Session::new(&mut t);
+            s.options.prefetch = prefetch;
+            let lines = s.eval_lines("hash[0..15]-->next->scope").unwrap();
+            (lines, handle.wire_turns())
+        };
+        let (base_lines, base_turns) = run(false);
+        let (pf_lines, pf_turns) = run(true);
+        assert_eq!(base_lines, pf_lines);
+        assert_eq!(base_lines.len(), 128);
+        // Demand paging pays a turn per node; the chase pays one for
+        // the root scan's window and one per chain level.
+        assert!(base_turns >= 100, "{base_turns}");
+        assert!(pf_turns <= 8 + 1, "{pf_turns}");
+    }
+
+    #[test]
     fn prefetch_windows_bound_memory_on_huge_scans() {
         use duel_target::{CacheConfig, CachedTarget};
         // A 100k-element scan must be warmed in bounded windows, never

@@ -761,7 +761,7 @@ impl<T: Target> crate::Layer for TraceTarget<T> {
         // `wire_turns()` counts every turn exactly once regardless of
         // how the tower executed it.
         if c.ranges > 0 && self.handle.is_enabled() {
-            let outcome = if c.failed > 0 {
+            let outcome = if !c.failed_pages.is_empty() {
                 TraceOutcome::Fault
             } else {
                 TraceOutcome::Ok
