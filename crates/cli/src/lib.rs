@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 use duel_core::{DuelError, EvalOptions, EvalStats, Session, SymMode, Value};
 use duel_minic::{Debugger, StopReason};
 use duel_target::{
-    chrome_trace_json, folded_stacks, scenario, AsyncTarget, CacheConfig, CachedTarget,
-    ChaosHandle, FaultTarget, FlameWeight, MetaCapture, MetaSnapshot, MetaTarget, MetricsRegistry,
+    chrome_trace_json, folded_stacks, scenario, CacheConfig, CachedTarget, ChaosHandle,
+    FaultTarget, FlameWeight, MetaCapture, MetaSnapshot, MetaTarget, MetricsRegistry,
     MetricsSnapshot, RecordTarget, ReplayMode, ReplayTarget, RetryTarget, SimTarget, SpanContext,
     SpanSnapshot, SupervisedTarget, Target, TraceHandle, TraceStats, TraceTarget,
 };
@@ -39,14 +39,8 @@ type Cache = CachedTarget<RecordTarget<Debuggee>>;
 /// every call to whichever backend is loaded.
 pub(crate) enum Debuggee {
     /// Simulated debuggees carry a fault gate innermost so `.chaos`
-    /// can kill/hang/garble the "wire" under the whole tower, and an
-    /// I/O actor ([`AsyncTarget`]) between the recorder and the gate
-    /// so `.set pipeline on` can move the wire onto a worker thread.
-    /// The chaos handle is cached at construction: once the actor is
-    /// live the gate itself is owned by the worker and unreachable
-    /// from this thread (the handle is `Arc`-shared, so it still
-    /// steers it).
-    Sim(AsyncTarget<FaultTarget<SimTarget>>, ChaosHandle),
+    /// can kill/hang/garble the "wire" under the whole tower.
+    Sim(FaultTarget<SimTarget>),
     Minic(Debugger),
     Replay(ReplayTarget),
 }
@@ -56,7 +50,7 @@ impl duel_target::Layer for Debuggee {
 
     fn below(&self) -> &(dyn Target + 'static) {
         match self {
-            Debuggee::Sim(t, _) => t,
+            Debuggee::Sim(t) => t,
             Debuggee::Minic(d) => d,
             Debuggee::Replay(r) => r,
         }
@@ -64,7 +58,7 @@ impl duel_target::Layer for Debuggee {
 
     fn below_mut(&mut self) -> &mut (dyn Target + 'static) {
         match self {
-            Debuggee::Sim(t, _) => t,
+            Debuggee::Sim(t) => t,
             Debuggee::Minic(d) => d,
             Debuggee::Replay(r) => r,
         }
@@ -72,11 +66,9 @@ impl duel_target::Layer for Debuggee {
 }
 
 impl Debuggee {
-    /// A simulated debuggee behind its fault gate and I/O actor.
+    /// A simulated debuggee behind its fault gate.
     fn sim(t: SimTarget) -> Debuggee {
-        let gate = FaultTarget::gate(t);
-        let chaos = gate.handle();
-        Debuggee::Sim(AsyncTarget::new(gate), chaos)
+        Debuggee::Sim(FaultTarget::gate(t))
     }
 
     /// Builds the REPL's tower over this debuggee.
@@ -97,18 +89,16 @@ impl Debuggee {
     /// The backend label written into capture headers.
     fn label(&self) -> &'static str {
         match self {
-            Debuggee::Sim(..) => "sim",
+            Debuggee::Sim(_) => "sim",
             Debuggee::Minic(_) => "minic",
             Debuggee::Replay(_) => "replay",
         }
     }
 
-    /// The chaos gate of a simulated backend (`.chaos` commands). The
-    /// handle was cloned at construction, so it works whether the gate
-    /// lives on this thread (inline) or inside the I/O actor.
+    /// The chaos gate of a simulated backend (`.chaos` commands).
     fn chaos(&self) -> Option<ChaosHandle> {
         match self {
-            Debuggee::Sim(_, h) => Some(h.clone()),
+            Debuggee::Sim(gate) => Some(gate.handle()),
             _ => None,
         }
     }
@@ -118,21 +108,6 @@ impl Debuggee {
         match self {
             Debuggee::Replay(r) => Some(r),
             _ => None,
-        }
-    }
-
-    /// Moves the simulated backend's wire on or off the I/O actor
-    /// thread. Returns `false` for backends without an actor layer:
-    /// mini-C (the debugger needs direct access for `.run`/`.step`)
-    /// and replay (a capture is consulted strictly in order, so an
-    /// actor would buy nothing) stay inline.
-    fn set_pipeline(&mut self, on: bool) -> bool {
-        match self {
-            Debuggee::Sim(t, _) => {
-                t.set_async(on);
-                true
-            }
-            _ => false,
         }
     }
 }
@@ -153,11 +128,6 @@ pub struct Repl {
     /// Sticky `.set degrade` state, reapplied when the backend (and
     /// with it the supervisor) is replaced.
     degrade_enabled: bool,
-    /// Sticky `.set pipeline` state, reapplied on backend swaps.
-    /// Backends without an actor layer (mini-C, replay) ignore it and
-    /// stay inline; the flag survives so the next `.scenario` starts
-    /// pipelined again.
-    pipeline_enabled: bool,
     /// Sticky `.trace spans on|off` state, reapplied on backend swaps.
     spans_enabled: bool,
     /// Sticky `.set trace_buf N` ring capacity (trace events and span
@@ -252,12 +222,6 @@ DUEL commands:
                      and fetch `-->` walks over field links one tree
                      level per read (`hash[..n]-->next`,
                      `root-->(left,right)`) (default: off)
-  .set pipeline on|off
-                     asynchronous wire pipeline: run the backend on an
-                     I/O actor thread and double-buffer prefetch
-                     windows, so window k+1 is on the wire while the
-                     evaluator consumes window k (sim backend only;
-                     default: off, sticky across `.scenario`)
   .set trace_buf N   capacity of the trace-event and span rings
                      (default 4096 events / 8192 spans; one entry
                      costs ~100-140 bytes, so 8192 spans ≈ 1 MiB)
@@ -353,7 +317,6 @@ impl Repl {
             cache_enabled,
             trace_enabled: false,
             degrade_enabled: true,
-            pipeline_enabled: false,
             spans_enabled: false,
             trace_buf: None,
             metrics: MetricsRegistry::new(),
@@ -373,10 +336,6 @@ impl Repl {
 
     fn debuggee(&self) -> &Debuggee {
         self.cache().inner().inner()
-    }
-
-    fn debuggee_mut(&mut self) -> &mut Debuggee {
-        self.cache_mut().inner_mut().inner_mut()
     }
 
     /// Arms the flight recorder. The page cache is invalidated first so
@@ -406,8 +365,6 @@ impl Repl {
     fn apply_sticky(&mut self) {
         self.backend.handle().set_enabled(self.trace_enabled);
         self.backend.inner_mut().set_degrade(self.degrade_enabled);
-        let on = self.pipeline_enabled;
-        self.debuggee_mut().set_pipeline(on);
         self.backend.spans().set_enabled(self.spans_enabled);
         if let Some(n) = self.trace_buf {
             self.backend.handle().set_capacity(n);
@@ -499,15 +456,6 @@ impl Repl {
         self.debuggee().chaos()
     }
 
-    /// Moves the wire on or off the I/O actor thread (the
-    /// `.set pipeline on|off` command; sticky across `.scenario`).
-    /// Returns whether the current backend actually has an actor
-    /// layer — mini-C and replay sessions stay inline.
-    pub fn set_pipeline(&mut self, on: bool) -> bool {
-        self.pipeline_enabled = on;
-        self.debuggee_mut().set_pipeline(on)
-    }
-
     /// Turns target-call tracing on or off (the `.trace on|off`
     /// command; sticky across `.scenario`/`.load`).
     pub fn set_tracing(&mut self, on: bool) {
@@ -593,16 +541,6 @@ impl Repl {
             format!("\"spans_open\":{}", spans.open.len()),
             format!("\"spans_dropped\":{}", spans.dropped),
         ];
-        if let Some(p) = self.backend.pipeline_handle().map(|h| h.stats()) {
-            members.push(format!("\"pipeline_async\":{}", p.async_on));
-            members.push(format!("\"pipeline_submits\":{}", p.submits));
-            members.push(format!("\"pipeline_completions\":{}", p.completions));
-            members.push(format!("\"pipeline_actor_overlap_ns\":{}", p.overlap_ns));
-            members.push(format!(
-                "\"pipeline_max_queue_depth\":{}",
-                p.max_queue_depth
-            ));
-        }
         let registry = self.metrics.snapshot().to_json_members();
         if !registry.is_empty() {
             members.push(registry);
@@ -610,14 +548,13 @@ impl Repl {
         format!(
             "{{\"schema_version\":1,\"name\":\"duel_stats\",\
              \"config\":{{\"backend\":\"{}\",\"scenario\":\"{}\",\"cache\":{},\
-             \"prefetch\":{},\"pipeline\":{},\"degrade\":{},\"trace\":{},\"spans\":{},\
+             \"prefetch\":{},\"degrade\":{},\"trace\":{},\"spans\":{},\
              \"trace_buf\":{},\"span_buf\":{}}},\
              \"metrics\":{{{}}}}}",
             self.debuggee().label(),
             esc(&self.scenario_label),
             self.cache_enabled,
             self.options.prefetch,
-            self.pipeline_enabled,
             self.degrade_enabled,
             self.trace_enabled,
             self.spans_enabled,
@@ -931,26 +868,13 @@ impl Repl {
                     self.last_stats.prefetch_ranges,
                     self.backend.handle().calls(duel_target::TraceOp::MultiRead)
                 );
-                match self.backend.pipeline_handle().map(|h| h.stats()) {
-                    Some(p) => {
-                        let _ = writeln!(
-                            out,
-                            "pipeline: {} ({} windows planned, {} submitted ahead, \
-                             overlap {}; actor: {} submits, {} completions, depth\u{2264}{})",
-                            if p.async_on { "on" } else { "off" },
-                            self.last_stats.windows_planned,
-                            self.last_stats.windows_inflight,
-                            duel_target::trace::fmt_ns(self.last_stats.pipeline_overlap_ns),
-                            p.submits,
-                            p.completions,
-                            p.max_queue_depth
-                        );
-                    }
-                    None => {
-                        let _ =
-                            writeln!(out, "pipeline: unavailable (this backend has no I/O actor)");
-                    }
-                }
+                let _ = writeln!(
+                    out,
+                    "pipeline: {} windows planned, {} submitted ahead, overlap {}",
+                    self.last_stats.windows_planned,
+                    self.last_stats.windows_inflight,
+                    duel_target::trace::fmt_ns(self.last_stats.pipeline_overlap_ns)
+                );
                 let r = self.backend.inner().inner().stats();
                 let _ = writeln!(
                     out,
@@ -1440,29 +1364,6 @@ impl Repl {
                     "prefetch" => {
                         self.options.prefetch = val == "on";
                     }
-                    "pipeline" => {
-                        let on = val == "on";
-                        self.pipeline_enabled = on;
-                        if self.debuggee_mut().set_pipeline(on) {
-                            let _ = writeln!(
-                                out,
-                                "pipeline {}: the wire now runs {}",
-                                if on { "on" } else { "off" },
-                                if on {
-                                    "on the I/O actor thread"
-                                } else {
-                                    "inline on the session thread"
-                                }
-                            );
-                        } else {
-                            let _ = writeln!(
-                                out,
-                                "pipeline {} (sticky): this backend has no I/O actor and \
-                                 stays inline; the setting applies at the next `.scenario`",
-                                if on { "on" } else { "off" }
-                            );
-                        }
-                    }
                     "trace_buf" => match val.parse::<usize>() {
                         Ok(n) if n > 0 => {
                             self.trace_buf = Some(n);
@@ -1762,112 +1663,6 @@ mod tests {
     fn evaluates_expressions() {
         let out = run(&["x[1..4,8,12..50] >? 5 <? 10"]);
         assert_eq!(out, "x[3] = 7\nx[18] = 9\nx[47] = 6\n");
-    }
-
-    #[test]
-    fn pipeline_mode_renders_byte_identical_output() {
-        let script = [
-            ".set prefetch on",
-            "x[..64]",
-            "x[1..4,8,12..50] >? 5 <? 10",
-            "tree-->(left,right)->data",
-        ];
-        let baseline = run(&script);
-        let mut piped = vec![".set pipeline on"];
-        piped.extend_from_slice(&script);
-        let out = run(&piped);
-        assert!(out.starts_with("pipeline on"), "{out}");
-        let (_, rest) = out.split_once('\n').unwrap();
-        assert_eq!(rest, baseline);
-    }
-
-    #[test]
-    fn pipeline_is_sticky_across_scenarios_and_shows_in_stats() {
-        let mut r = Repl::new();
-        let mut out = String::new();
-        r.handle(".set pipeline on", &mut out);
-        r.handle(".scenario scan", &mut out);
-        out.clear();
-        r.handle(".stats", &mut out);
-        assert!(out.contains("pipeline: on"), "{out}");
-        out.clear();
-        r.handle(".set pipeline off", &mut out);
-        r.handle(".stats", &mut out);
-        assert!(out.contains("pipeline: off"), "{out}");
-    }
-
-    #[test]
-    fn pipeline_overlaps_windows_and_reports_them() {
-        let mut r = Repl::new();
-        let mut out = String::new();
-        r.handle(".set pipeline on", &mut out);
-        r.handle(".set prefetch on", &mut out);
-        out.clear();
-        r.handle("x[..64]", &mut out);
-        assert!(out.contains("x[63]"), "{out}");
-        out.clear();
-        r.handle(".stats json", &mut out);
-        assert!(out.contains("\"pipeline\":true"), "{out}");
-        assert!(out.contains("\"pipeline_async\":true"), "{out}");
-        // At least the first window went through the actor.
-        let submits = out
-            .split("\"pipeline_submits\":")
-            .nth(1)
-            .and_then(|s| s.split(&[',', '}'][..]).next())
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap();
-        assert!(submits >= 1, "{out}");
-    }
-
-    #[test]
-    fn chaos_gate_stays_reachable_while_pipelined() {
-        // Once the actor owns the gate, `.chaos` steers it through the
-        // Arc-shared handle cached at construction: status must observe
-        // ops flowing on the worker thread, and kill/revive must still
-        // take effect (the supervisor may auto-heal a killed backend,
-        // so only reachability is asserted, not a lasting outage).
-        let mut r = Repl::new();
-        let mut out = String::new();
-        r.handle(".set pipeline on", &mut out);
-        r.handle("x[..4]", &mut out);
-        out.clear();
-        r.handle(".chaos", &mut out);
-        let ops: u64 = out
-            .split(", ")
-            .nth(1)
-            .and_then(|s| s.split_whitespace().next())
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        assert!(ops > 0, "gate should see worker-thread ops: {out}");
-        out.clear();
-        r.handle(".chaos kill", &mut out);
-        assert!(out.contains("backend killed"), "{out}");
-        r.handle(".chaos revive", &mut out);
-        out.clear();
-        r.handle("x[0]", &mut out);
-        // Same rendering as the inline tower after a kill/revive cycle
-        // (the byte-identical test covers full parity).
-        assert!(out.contains("100") && !out.contains("error"), "{out}");
-    }
-
-    #[test]
-    fn replay_backend_reports_pipeline_unavailable() {
-        let dir = std::env::temp_dir().join(format!("duel_pipe_replay_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("cap.jsonl");
-        let mut r = Repl::new();
-        let mut out = String::new();
-        r.handle(&format!(".record {}", file.display()), &mut out);
-        r.handle("x[..4]", &mut out);
-        r.handle(".record stop", &mut out);
-        r.handle(&format!(".replay {}", file.display()), &mut out);
-        out.clear();
-        r.handle(".set pipeline on", &mut out);
-        assert!(out.contains("no I/O actor"), "{out}");
-        out.clear();
-        r.handle(".stats", &mut out);
-        assert!(out.contains("pipeline: unavailable"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -150,6 +150,17 @@ fn apply_through(ctx: &mut Ctx<'_>, seq: u64) -> Option<PrefetchCompletion> {
     None
 }
 
+/// The bytes `[start, start + total)` of elements `lo..=hi` of
+/// `esize` bytes from `base`, or `None` when the span leaves the
+/// address space (the plan is then skipped).
+fn span_bytes(base: u64, lo: i64, hi: i64, esize: u64) -> Option<(u64, u64)> {
+    let start = base.checked_add_signed(lo.checked_mul(i64::try_from(esize).ok()?)?)?;
+    let count = u64::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?;
+    let total = count.checked_mul(esize)?;
+    start.checked_add(total)?;
+    Some((start, total))
+}
+
 impl IndexGen {
     /// Lays out the planner's warm schedule for base value `b`, if it
     /// applies. Advisory by construction: any shape we cannot cheaply
@@ -181,8 +192,9 @@ impl IndexGen {
             Ok(s) if s > 0 => s,
             _ => return,
         };
-        let start = (base_addr as i64 + lo * esize as i64) as u64;
-        let total = (hi - lo + 1) as u64 * esize;
+        let Some((start, total)) = span_bytes(base_addr, lo, hi, esize) else {
+            return;
+        };
         // Window size: `prefetch_window` cache pages (64-byte pages
         // assumed when the tower has no cache to ask).
         let page = ctx.target.cache_page_size().unwrap_or(64);

@@ -501,16 +501,21 @@ impl<T: Target> CachedTarget<T> {
 }
 
 impl<T: Target> CachedTarget<T> {
+    /// Whether `[addr, addr+len)` ends below the last page of the
+    /// address space, so page arithmetic over it cannot overflow.
+    /// Ranges that reach the last page are never cached.
+    fn pageable(&self, addr: u64, len: u64) -> bool {
+        addr.checked_add(len)
+            .is_some_and(|end| end <= self.cfg.page_size.wrapping_neg())
+    }
+
     /// A memory read through the page cache.
     fn read(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
         if buf.is_empty() {
             return Ok(());
         }
-        if !self.cfg.enabled {
-            self.stats.backend_reads += 1;
-            self.inner.get_bytes(addr, buf)?;
-            self.stats.wire_bytes += buf.len() as u64;
-            return Ok(());
+        if !self.cfg.enabled || !self.pageable(addr, buf.len() as u64) {
+            return self.read_exact_uncached(addr, buf);
         }
         let ps = self.cfg.page_size;
         let mut pos = 0usize;
@@ -555,7 +560,7 @@ impl<T: Target> CachedTarget<T> {
             (first, last)
         };
         for r in ranges.iter() {
-            if r.buf.is_empty() {
+            if r.buf.is_empty() || !self.pageable(r.addr, r.buf.len() as u64) {
                 continue;
             }
             let (first, last) = pages_of(r.addr, r.buf.len());
@@ -573,12 +578,15 @@ impl<T: Target> CachedTarget<T> {
         let mut readahead: Vec<u64> = Vec::new();
         if self.cfg.prefetch_pages > 0 {
             for r in ranges.iter() {
-                if r.buf.is_empty() {
+                if r.buf.is_empty() || !self.pageable(r.addr, r.buf.len() as u64) {
                     continue;
                 }
                 let (_, last) = pages_of(r.addr, r.buf.len());
                 for k in 1..=self.cfg.prefetch_pages as u64 {
-                    let base = last.saturating_add(k * ps);
+                    let base = last + k * ps;
+                    if !self.pageable(base, ps) {
+                        break;
+                    }
                     if !self.pages.contains_key(&base) && planned.insert(base) {
                         readahead.push(base);
                     }
@@ -673,12 +681,10 @@ impl<T: Target> CachedTarget<T> {
     /// was readable when fetched, and `is_mapped` needs no probe.
     /// Partial pages only vouch for the prefix they actually hold.
     fn resident(&self, addr: u64, len: u64) -> bool {
-        let Some(end) = addr
-            .checked_add(len)
-            .filter(|_| self.cfg.enabled && len > 0)
-        else {
+        if !self.cfg.enabled || len == 0 || !self.pageable(addr, len) {
             return false;
-        };
+        }
+        let end = addr + len;
         let ps = self.cfg.page_size;
         let last = (end - 1) & !(ps - 1);
         let mut base = addr & !(ps - 1);
@@ -711,12 +717,10 @@ impl<T: Target> CachedTarget<T> {
     /// that arrive whole. True when every one arrived, so the range is
     /// readable; false when it sent nothing or any page failed.
     fn fill_range(&mut self, addr: u64, len: u64) -> bool {
-        let Some(end) = addr
-            .checked_add(len)
-            .filter(|_| self.cfg.enabled && len > 0)
-        else {
+        if !self.cfg.enabled || len == 0 || !self.pageable(addr, len) {
             return false;
-        };
+        }
+        let end = addr + len;
         let ps = self.cfg.page_size;
         let first = addr & !(ps - 1);
         let last = (end - 1) & !(ps - 1);
@@ -862,7 +866,7 @@ impl<T: Target> crate::Layer for CachedTarget<T> {
         let mut planned = std::collections::HashSet::new();
         let mut missing: Vec<u64> = Vec::new();
         for &(addr, len) in ranges {
-            if len == 0 {
+            if len == 0 || !self.pageable(addr, len) {
                 continue;
             }
             let first = addr & !(ps - 1);
@@ -884,12 +888,15 @@ impl<T: Target> crate::Layer for CachedTarget<T> {
         let mut readahead: Vec<u64> = Vec::new();
         if self.cfg.prefetch_pages > 0 {
             for &(addr, len) in ranges {
-                if len == 0 {
+                if len == 0 || !self.pageable(addr, len) {
                     continue;
                 }
                 let last = (addr + len - 1) & !(ps - 1);
                 for k in 1..=self.cfg.prefetch_pages as u64 {
-                    let base = last.saturating_add(k * ps);
+                    let base = last + k * ps;
+                    if !self.pageable(base, ps) {
+                        break;
+                    }
                     if !self.pages.contains_key(&base)
                         && !self.pending_pages.contains(&base)
                         && planned.insert(base)

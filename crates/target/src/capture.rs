@@ -28,7 +28,7 @@ use std::io::{self, Read as _, Write};
 use std::sync::{Arc, Mutex};
 
 use crate::error::TargetError;
-use crate::iface::{CallValue, FrameInfo, VarInfo, VarKind};
+use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo, VarKind};
 use crate::json::{quote, Json};
 use crate::layer::{Op, Reply};
 use crate::trace::{TraceOp, TraceOutcome};
@@ -190,6 +190,65 @@ impl CaptureCall {
             Op::FrameInfo(n) => CaptureCall::FrameInfo { n: *n as u64 },
             &Op::IsMapped { addr, len } => CaptureCall::IsMapped { addr, len },
             Op::TakeOutput => CaptureCall::TakeOutput,
+        }
+    }
+
+    /// Performs the call on `t` and returns its answer, moving the bytes
+    /// read into the reply (how the I/O actor's worker serves a call
+    /// shipped from the front side).
+    pub fn run<T: Target + ?Sized>(self, t: &mut T) -> CaptureReply {
+        use CaptureReply as R;
+        match self {
+            CaptureCall::GetBytes { addr, len } => {
+                let mut buf = vec![0; len as usize];
+                t.get_bytes(addr, &mut buf)
+                    .map_or_else(R::Err, |()| R::Bytes(buf))
+            }
+            CaptureCall::MultiRead { ranges } => {
+                let mut out: Vec<Result<Vec<u8>, TargetError>> = ranges
+                    .iter()
+                    .map(|&(_, len)| Ok(vec![0; len as usize]))
+                    .collect();
+                let mut views: Vec<ReadRange<'_>> = ranges
+                    .iter()
+                    .zip(out.iter_mut().flatten())
+                    .map(|(&(addr, _), buf)| ReadRange::new(addr, buf))
+                    .collect();
+                let results = t.get_bytes_multi(&mut views);
+                drop(views);
+                for (slot, r) in out.iter_mut().zip(results) {
+                    if let Err(e) = r {
+                        *slot = Err(e);
+                    }
+                }
+                R::Multi(out)
+            }
+            CaptureCall::PutBytes { addr, data } => {
+                t.put_bytes(addr, &data).map_or_else(R::Err, |()| R::Unit)
+            }
+            CaptureCall::AllocSpace { size, align } => {
+                t.alloc_space(size, align).map_or_else(R::Err, R::Addr)
+            }
+            CaptureCall::CallFunc { name, args } => {
+                t.call_func(&name, &args).map_or_else(R::Err, R::Value)
+            }
+            CaptureCall::GetVariable { name, frame: None } => R::Var(t.get_variable(&name)),
+            CaptureCall::GetVariable {
+                name,
+                frame: Some(n),
+            } => R::Var(t.get_variable_in_frame(&name, n as usize)),
+            CaptureCall::LookupType { ns, name } => R::TypeRef(match ns.as_str() {
+                "typedef" => t.lookup_typedef(&name).map(TypeId::raw),
+                "struct" => t.lookup_struct(&name).map(RecordId::raw),
+                "union" => t.lookup_union(&name).map(RecordId::raw),
+                "enum" => t.lookup_enum(&name).map(EnumId::raw),
+                _ => None,
+            }),
+            CaptureCall::HasFunction { name } => R::Flag(t.has_function(&name)),
+            CaptureCall::FrameCount => R::Count(t.frame_count() as u64),
+            CaptureCall::FrameInfo { n } => R::Frame(t.frame_info(n as usize)),
+            CaptureCall::IsMapped { addr, len } => R::Flag(t.is_mapped(addr, len)),
+            CaptureCall::TakeOutput => R::Output(t.take_output()),
         }
     }
 

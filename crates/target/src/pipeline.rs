@@ -6,12 +6,15 @@
 //! turn is the dominant cost (the paper's "one value per eval call"
 //! protocol), so the tower idles in alternation — the evaluator waits
 //! on the wire, then the wire waits on the evaluator. `AsyncTarget`
-//! breaks the alternation: it moves the innermost backend (the
-//! `SimTarget`/MI transport plus its fault/chaos wrappers) onto a
-//! dedicated worker thread behind a request/reply channel, and exposes
+//! breaks the alternation: it moves the innermost backend (the MI
+//! transport and whatever wraps it) onto a dedicated worker thread
+//! behind a request/reply channel, and exposes
 //!
-//! * the blocking [`Target`] API unchanged (each call becomes one
-//!   closure shipped to the worker, replied on a per-call channel), and
+//! * the blocking [`Target`] API unchanged: each data call becomes the
+//!   owned [`CaptureCall`] the flight recorder would log, the worker
+//!   runs it ([`CaptureCall::run`]) and sends back the
+//!   [`CaptureReply`], which answers the caller's op
+//!   ([`CaptureReply::answer`]); and
 //! * a non-blocking [`Target::read_submit`] / [`Target::read_poll`]
 //!   pair: an owned-buffer vectored read goes on the wire *now* while
 //!   the caller keeps evaluating, and is reclaimed later.
@@ -21,6 +24,10 @@
 //! the in-flight read, and tickets complete oldest-first. That ordering
 //! is what keeps record→strict-replay byte-identical when the layers
 //! above record completions at poll time.
+//!
+//! Production towers start the actor in `duel_gdbmi`'s
+//! `connect_pipelined`, where the wire has real latency to overlap.
+//! The REPL's zero-latency simulator has no actor.
 //!
 //! ## Ownership of the type table
 //!
@@ -32,19 +39,19 @@
 //! (variable/type lookups, calls, frames) can intern types on the
 //! worker side, and the evaluator interns derived types on the front
 //! side between them. The mirror protocol exploits that only one side
-//! grows between syncs: a symbol RPC ships the front table down when
+//! grows between syncs: a symbol op ships the front table down when
 //! the front has grown (the worker's table is always a prefix of the
-//! front's, so raw ids survive the replacement) and ships the worker
-//! table back up when the op made it grow. Mode transitions
-//! (`.set pipeline on|off`) drain the queue, join the worker, and write
-//! the front table into the recovered backend.
+//! front's, so raw ids survive the replacement), and an op that made
+//! the worker table grow ships it back up. [`AsyncTarget::set_async`]
+//! drains the queue, joins the worker, and writes the front table into
+//! the recovered backend.
 //!
 //! ## Spans
 //!
 //! The span context installed from above stays on the front side; it is
 //! *not* forwarded into the worker, so the shared span stack never
-//! interleaves two threads. Submits, completions and queue depth are
-//! recorded as front-side `pipeline` instants instead.
+//! interleaves two threads. Submits and completions are recorded as
+//! front-side `pipeline` instants instead.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,12 +59,14 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
+use crate::capture::{CaptureCall, CaptureReply};
 use crate::error::TargetResult;
-use crate::iface::{CallValue, FrameInfo, OwnedRange, PipelineTicket, ReadRange, Target, VarInfo};
+use crate::iface::{OwnedRange, PipelineTicket, ReadRange, Target};
+use crate::layer::{data_methods_via, Op, Reply};
 use crate::span::{SpanContext, SpanKind};
 use crate::supervise::StalenessHandle;
 use crate::trace::TraceHandle;
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+use duel_ctype::{Abi, TableSnapshot, TypeTable};
 
 /// Counter snapshot of a [`PipelineHandle`]. Cumulative since
 /// construction.
@@ -69,34 +78,16 @@ pub struct PipelineStats {
     pub submits: u64,
     /// Submissions completed (polled).
     pub completions: u64,
-    /// Ranges that read cleanly across all completions.
-    pub ranges_clean: u64,
-    /// Ranges that came back with an error.
-    pub ranges_failed: u64,
-    /// Bytes carried by clean ranges.
-    pub bytes: u64,
-    /// Nanoseconds pollers spent blocked waiting for in-flight reads.
-    pub wait_ns: u64,
     /// Nanoseconds reads were in flight while the caller kept working —
     /// the overlap the pipeline bought.
     pub overlap_ns: u64,
-    /// Reads currently in flight.
-    pub queue_depth: u64,
-    /// Highest queue depth observed.
-    pub max_queue_depth: u64,
 }
 
 struct PipelineShared {
     async_on: AtomicBool,
     submits: AtomicU64,
     completions: AtomicU64,
-    ranges_clean: AtomicU64,
-    ranges_failed: AtomicU64,
-    bytes: AtomicU64,
-    wait_ns: AtomicU64,
     overlap_ns: AtomicU64,
-    queue_depth: AtomicU64,
-    max_queue_depth: AtomicU64,
 }
 
 /// A cloneable view onto one [`AsyncTarget`]'s counters.
@@ -117,7 +108,7 @@ impl std::fmt::Debug for PipelineHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelineHandle")
             .field("async_on", &self.is_async())
-            .field("submits", &self.0.submits.load(Ordering::Relaxed))
+            .field("submits", &self.submits())
             .finish()
     }
 }
@@ -129,13 +120,7 @@ impl PipelineHandle {
             async_on: AtomicBool::new(false),
             submits: AtomicU64::new(0),
             completions: AtomicU64::new(0),
-            ranges_clean: AtomicU64::new(0),
-            ranges_failed: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            wait_ns: AtomicU64::new(0),
             overlap_ns: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
         }))
     }
 
@@ -160,42 +145,16 @@ impl PipelineHandle {
     pub fn stats(&self) -> PipelineStats {
         PipelineStats {
             async_on: self.is_async(),
-            submits: self.0.submits.load(Ordering::Relaxed),
+            submits: self.submits(),
             completions: self.0.completions.load(Ordering::Relaxed),
-            ranges_clean: self.0.ranges_clean.load(Ordering::Relaxed),
-            ranges_failed: self.0.ranges_failed.load(Ordering::Relaxed),
-            bytes: self.0.bytes.load(Ordering::Relaxed),
-            wait_ns: self.0.wait_ns.load(Ordering::Relaxed),
-            overlap_ns: self.0.overlap_ns.load(Ordering::Relaxed),
-            queue_depth: self.0.queue_depth.load(Ordering::Relaxed),
-            max_queue_depth: self.0.max_queue_depth.load(Ordering::Relaxed),
+            overlap_ns: self.overlap_ns(),
         }
-    }
-
-    fn on_submit(&self) {
-        self.0.submits.fetch_add(1, Ordering::Relaxed);
-        let depth = self.0.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.0.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    fn on_complete(&self, clean: u64, failed: u64, bytes: u64, wait_ns: u64, overlap_ns: u64) {
-        self.0.completions.fetch_add(1, Ordering::Relaxed);
-        self.0.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        self.0.ranges_clean.fetch_add(clean, Ordering::Relaxed);
-        self.0.ranges_failed.fetch_add(failed, Ordering::Relaxed);
-        self.0.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.0.wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        self.0.overlap_ns.fetch_add(overlap_ns, Ordering::Relaxed);
     }
 }
 
-/// One unit of work shipped to the worker thread.
-type Job<T> = Box<dyn FnOnce(&mut T) + Send>;
-
 /// Runs an owned-buffer vectored read against `t` and hands the filled
-/// buffers back (the body of both the blocking multi RPC and an
-/// asynchronous submission; also the cache's synchronous fallback when
-/// no actor is below it).
+/// buffers back (the body of an asynchronous submission; also the
+/// cache's synchronous fallback when no actor is below it).
 pub(crate) fn run_multi<T: Target + ?Sized>(
     t: &mut T,
     mut owned: Vec<OwnedRange>,
@@ -209,16 +168,60 @@ pub(crate) fn run_multi<T: Target + ?Sized>(
     owned.into_iter().zip(results).collect()
 }
 
-struct Inflight {
-    ticket: PipelineTicket,
-    rx: mpsc::Receiver<Vec<(OwnedRange, TargetResult<()>)>>,
-    submitted: Instant,
+/// One unit of work for the worker thread.
+enum Job {
+    /// A data call, with the front table to install first when a
+    /// symbol op finds the front grown since the last sync.
+    Call(CaptureCall, Option<TableSnapshot>),
+    /// An asynchronous vectored read.
+    Submit(Vec<OwnedRange>),
+}
+
+/// The worker's answer to a [`Job::Call`]: the reply, and the worker
+/// table when the call made it grow.
+type CallDone = (CaptureReply, Option<TableSnapshot>);
+
+/// The worker's answer to a [`Job::Submit`].
+type SubmitDone = Vec<(OwnedRange, TargetResult<()>)>;
+
+/// The worker thread's loop: runs jobs in FIFO order until the front
+/// hangs up, then hands the backend back. Every job publishes the
+/// backend's pending output *before* its reply, so once the caller sees
+/// the reply a following `take_output` already sees everything the job
+/// printed (inline-mode ordering).
+fn work<T: Target>(
+    mut t: T,
+    jobs: mpsc::Receiver<Job>,
+    calls: mpsc::Sender<CallDone>,
+    reads: mpsc::Sender<SubmitDone>,
+    output: Arc<Mutex<String>>,
+) -> T {
+    while let Ok(job) = jobs.recv() {
+        match job {
+            Job::Call(call, ship) => {
+                if let Some(s) = &ship {
+                    // The worker table is a prefix of the front table,
+                    // so every raw id the worker handed out stays valid.
+                    *t.types_mut() = TypeTable::from_snapshot(s);
+                }
+                let before = t.types().len();
+                let reply = call.run(&mut t);
+                let back = (t.types().len() > before).then(|| t.types().snapshot());
+                drain_output(&mut t, &output);
+                let _ = calls.send((reply, back));
+            }
+            Job::Submit(ranges) => {
+                let done = run_multi(&mut t, ranges);
+                drain_output(&mut t, &output);
+                let _ = reads.send(done);
+            }
+        }
+    }
+    t
 }
 
 /// Appends any pending program output of `t` to the shared front-side
-/// buffer. The worker runs this at the end of *every* job, before the
-/// job's reply is sent, so output ordering relative to RPC returns is
-/// exactly the inline ordering.
+/// buffer.
 fn drain_output<T: Target + ?Sized>(t: &mut T, out: &Mutex<String>) {
     let s = t.take_output();
     if !s.is_empty() {
@@ -226,21 +229,59 @@ fn drain_output<T: Target + ?Sized>(t: &mut T, out: &Mutex<String>) {
     }
 }
 
+/// Whether `op` can read or grow the type table: lookups, calls and
+/// frames can; memory ops never do.
+fn is_symbol(op: &Op<'_, '_>) -> bool {
+    matches!(
+        op,
+        Op::CallFunc { .. }
+            | Op::GetVariable(_)
+            | Op::GetVariableInFrame(..)
+            | Op::LookupTypedef(_)
+            | Op::LookupStruct(_)
+            | Op::LookupUnion(_)
+            | Op::LookupEnum(_)
+            | Op::HasFunction(_)
+            | Op::FrameInfo(_)
+    )
+}
+
 struct Actor<T: Target + Send + 'static> {
-    tx: mpsc::Sender<Job<T>>,
+    jobs: mpsc::Sender<Job>,
+    /// Replies to calls; one call is outstanding at a time.
+    calls: mpsc::Receiver<CallDone>,
+    /// Completions of submitted reads, oldest first.
+    reads: mpsc::Receiver<SubmitDone>,
     join: thread::JoinHandle<T>,
-    /// Clone of the front's shared output buffer, captured into every
-    /// job so the worker can publish program output without a
-    /// round-trip.
-    output: Arc<Mutex<String>>,
     /// Front-side ABI mirror (the ABI never changes mid-session).
     abi: Abi,
     /// Front-side type-table mirror; always a superset of the worker's
-    /// table between symbol RPCs.
+    /// table between symbol ops.
     types: TypeTable,
     /// Mirror length at the last front↔worker sync: the worker table
-    /// grew past this only inside a symbol RPC, which synced it back.
+    /// grew past this only inside a symbol op, which synced it back.
     synced: usize,
+}
+
+impl<T: Target + Send + 'static> Actor<T> {
+    /// Ships `op` to the worker and blocks for its reply, syncing the
+    /// type-table mirror down before a symbol op (when the front grew)
+    /// and back up after any op that made the worker's table grow.
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        let sym = is_symbol(&op);
+        let ship = (sym && self.types.len() > self.synced).then(|| self.types.snapshot());
+        self.jobs
+            .send(Job::Call(CaptureCall::of(&op), ship))
+            .expect("duel-io-actor is alive");
+        let (reply, back) = self.calls.recv().expect("duel-io-actor replied");
+        if let Some(s) = back {
+            self.types = TypeTable::from_snapshot(&s);
+        }
+        if sym {
+            self.synced = self.types.len();
+        }
+        reply.answer(op)
+    }
 }
 
 enum Mode<T: Target + Send + 'static> {
@@ -249,8 +290,8 @@ enum Mode<T: Target + Send + 'static> {
     /// reads). Zero overhead.
     Inline(T),
     /// The backend lives on the worker thread. Boxed: the actor state
-    /// (channel, join handle, ABI, type-table mirror) dwarfs the other
-    /// variants and `AsyncTarget` is embedded in every tower.
+    /// (channels, join handle, ABI, type-table mirror) dwarfs the
+    /// inline variant.
     Actor(Box<Actor<T>>),
     /// Transient state while switching modes; never observable.
     Switching,
@@ -261,7 +302,9 @@ enum Mode<T: Target + Send + 'static> {
 /// the type-table mirror.
 pub struct AsyncTarget<T: Target + Send + 'static> {
     mode: Mode<T>,
-    inflight: VecDeque<Inflight>,
+    /// Tickets of the submitted reads not yet polled, oldest first,
+    /// with their submission time.
+    inflight: VecDeque<(PipelineTicket, Instant)>,
     next_ticket: PipelineTicket,
     handle: PipelineHandle,
     /// Discovery handles captured from the backend before it moved to
@@ -273,9 +316,9 @@ pub struct AsyncTarget<T: Target + Send + 'static> {
     /// into the worker.
     spans: Option<SpanContext>,
     /// Program output published by the worker (which drains the
-    /// backend after every job). Lets [`Target::take_output`] stay a
-    /// buffer swap instead of a per-value round-trip through the
-    /// actor — the single hottest call on a scan.
+    /// backend after every job). Lets `take_output` stay a buffer swap
+    /// instead of a per-value round-trip through the actor — the single
+    /// hottest call on a scan.
     output: Arc<Mutex<String>>,
 }
 
@@ -360,21 +403,19 @@ impl<T: Target + Send + 'static> AsyncTarget<T> {
                 let abi = inner.abi().clone();
                 let types = TypeTable::from_snapshot(&inner.types().snapshot());
                 let synced = types.len();
-                let (tx, rx) = mpsc::channel::<Job<T>>();
+                let (jobs, jobs_rx) = mpsc::channel();
+                let (calls_tx, calls) = mpsc::channel();
+                let (reads_tx, reads) = mpsc::channel();
+                let output = self.output.clone();
                 let join = thread::Builder::new()
                     .name("duel-io-actor".to_string())
-                    .spawn(move || {
-                        let mut t = inner;
-                        while let Ok(job) = rx.recv() {
-                            job(&mut t);
-                        }
-                        t
-                    })
+                    .spawn(move || work(inner, jobs_rx, calls_tx, reads_tx, output))
                     .expect("spawn duel-io-actor");
                 self.mode = Mode::Actor(Box::new(Actor {
-                    tx,
+                    jobs,
+                    calls,
+                    reads,
                     join,
-                    output: self.output.clone(),
                     abi,
                     types,
                     synced,
@@ -386,7 +427,7 @@ impl<T: Target + Send + 'static> AsyncTarget<T> {
                 let Mode::Actor(a) = std::mem::replace(&mut self.mode, Mode::Switching) else {
                     unreachable!()
                 };
-                drop(a.tx);
+                drop(a.jobs);
                 let mut inner = a.join.join().expect("join duel-io-actor");
                 // Only the front mirror can have grown since the last
                 // sync, so it is the authoritative table.
@@ -402,7 +443,7 @@ impl<T: Target + Send + 'static> AsyncTarget<T> {
 
     /// Completes every outstanding submission, discarding the data.
     pub fn drain(&mut self) {
-        while let Some(ticket) = self.inflight.front().map(|f| f.ticket) {
+        while let Some(&(ticket, _)) = self.inflight.front() {
             let _ = self.read_poll(ticket);
         }
     }
@@ -414,55 +455,25 @@ impl<T: Target + Send + 'static> AsyncTarget<T> {
         }
     }
 
-    /// Ships a closure to the worker and blocks for its reply. Memory
-    /// operations use this directly; they never touch the type table.
-    fn rpc<R: Send + 'static>(a: &Actor<T>, f: impl FnOnce(&mut T) -> R + Send + 'static) -> R {
-        let (rtx, rrx) = mpsc::channel();
-        let out = a.output.clone();
-        a.tx.send(Box::new(move |t: &mut T| {
-            let r = f(t);
-            // Publish output *before* the reply: once the caller sees
-            // the reply, a following `take_output` must already see
-            // everything this op printed (inline-mode ordering).
-            drain_output(t, &out);
-            let _ = rtx.send(r);
-        }))
-        .expect("duel-io-actor is alive");
-        rrx.recv().expect("duel-io-actor replied")
-    }
-
-    /// A symbol-shaped RPC: syncs the type-table mirror down before the
-    /// op (when the front grew) and back up after it (when the op made
-    /// the worker's table grow).
-    fn rpc_sym<R: Send + 'static>(
-        a: &mut Actor<T>,
-        f: impl FnOnce(&mut T) -> R + Send + 'static,
-    ) -> R {
-        let ship = if a.types.len() > a.synced {
-            Some(a.types.snapshot())
-        } else {
-            None
-        };
-        let (r, back) = Self::rpc(a, move |t| {
-            if let Some(s) = &ship {
-                // The worker table is a prefix of the front table, so
-                // every raw id the worker handed out stays valid.
-                *t.types_mut() = TypeTable::from_snapshot(s);
-            }
-            let before = t.types().len();
-            let r = f(t);
-            let back = if t.types().len() > before {
-                Some(t.types().snapshot())
-            } else {
-                None
-            };
-            (r, back)
-        });
-        if let Some(s) = back {
-            a.types = TypeTable::from_snapshot(&s);
+    /// Answers one data call: on this thread in inline mode, through the
+    /// worker in actor mode. Output never takes a round trip: the
+    /// worker publishes it into the shared buffer before each reply, so
+    /// `take_output` is a buffer swap.
+    #[inline(always)]
+    fn serve(&mut self, op: Op<'_, '_>) -> Reply {
+        if let Op::TakeOutput = op {
+            let buffered = std::mem::take(&mut *self.output.lock().expect("output buffer lock"));
+            return Reply::Output(match &mut self.mode {
+                Mode::Inline(t) if buffered.is_empty() => t.take_output(),
+                Mode::Inline(t) => buffered + &t.take_output(),
+                _ => buffered,
+            });
         }
-        a.synced = a.types.len();
-        r
+        match &mut self.mode {
+            Mode::Inline(t) => op.apply(t),
+            Mode::Actor(a) => a.call(op),
+            Mode::Switching => unreachable!("transient mode"),
+        }
     }
 }
 
@@ -491,196 +502,7 @@ impl<T: Target + Send + 'static> Target for AsyncTarget<T> {
         }
     }
 
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.get_bytes(addr, buf),
-            Mode::Actor(a) => {
-                let len = buf.len();
-                let (r, data) = Self::rpc(a, move |t| {
-                    let mut v = vec![0u8; len];
-                    let r = t.get_bytes(addr, &mut v);
-                    (r, v)
-                });
-                buf.copy_from_slice(&data);
-                r
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.get_bytes_multi(ranges),
-            Mode::Actor(a) => {
-                let owned: Vec<OwnedRange> = ranges
-                    .iter()
-                    .map(|r| OwnedRange::new(r.addr, r.buf.len()))
-                    .collect();
-                let done = Self::rpc(a, move |t| run_multi(t, owned));
-                let mut results = Vec::with_capacity(done.len());
-                for (dst, (src, r)) in ranges.iter_mut().zip(done) {
-                    dst.buf.copy_from_slice(&src.buf);
-                    results.push(r);
-                }
-                results
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.put_bytes(addr, bytes),
-            Mode::Actor(a) => {
-                let data = bytes.to_vec();
-                Self::rpc(a, move |t| t.put_bytes(addr, &data))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.alloc_space(size, align),
-            Mode::Actor(a) => Self::rpc(a, move |t| t.alloc_space(size, align)),
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.call_func(name, args),
-            Mode::Actor(a) => {
-                let (name, args) = (name.to_string(), args.to_vec());
-                // Calls both consume front-minted type ids and can
-                // intern new ones (native call results), so they take
-                // the symbol path.
-                Self::rpc_sym(a, move |t| t.call_func(&name, &args))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.get_variable(name),
-            Mode::Actor(a) => {
-                let name = name.to_string();
-                Self::rpc_sym(a, move |t| t.get_variable(&name))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.get_variable_in_frame(name, frame),
-            Mode::Actor(a) => {
-                let name = name.to_string();
-                Self::rpc_sym(a, move |t| t.get_variable_in_frame(&name, frame))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.lookup_typedef(name),
-            Mode::Actor(a) => {
-                let name = name.to_string();
-                Self::rpc_sym(a, move |t| t.lookup_typedef(&name))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.lookup_struct(tag),
-            Mode::Actor(a) => {
-                let tag = tag.to_string();
-                Self::rpc_sym(a, move |t| t.lookup_struct(&tag))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.lookup_union(tag),
-            Mode::Actor(a) => {
-                let tag = tag.to_string();
-                Self::rpc_sym(a, move |t| t.lookup_union(&tag))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.lookup_enum(tag),
-            Mode::Actor(a) => {
-                let tag = tag.to_string();
-                Self::rpc_sym(a, move |t| t.lookup_enum(&tag))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        match &mut self.mode {
-            Mode::Inline(t) => t.has_function(name),
-            Mode::Actor(a) => {
-                let name = name.to_string();
-                Self::rpc_sym(a, move |t| t.has_function(&name))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn frame_count(&mut self) -> usize {
-        match &mut self.mode {
-            Mode::Inline(t) => t.frame_count(),
-            Mode::Actor(a) => Self::rpc(a, move |t| t.frame_count()),
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.frame_info(n),
-            Mode::Actor(a) => Self::rpc_sym(a, move |t| t.frame_info(n)),
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        match &mut self.mode {
-            Mode::Inline(t) => t.is_mapped(addr, len),
-            Mode::Actor(a) => Self::rpc(a, move |t| t.is_mapped(addr, len)),
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn take_output(&mut self) -> String {
-        // Sessions drain output once per produced value, so this must
-        // never be a round-trip: the worker publishes output into the
-        // shared buffer at the end of every job (before the job's
-        // reply), and the front side just swaps the buffer.
-        let buffered = std::mem::take(&mut *self.output.lock().expect("output buffer lock"));
-        match &mut self.mode {
-            Mode::Inline(t) => {
-                let fresh = t.take_output();
-                if buffered.is_empty() {
-                    fresh
-                } else {
-                    buffered + &fresh
-                }
-            }
-            Mode::Actor(_) => buffered,
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
+    data_methods_via!(serve);
 
     fn trace_handle(&self) -> Option<TraceHandle> {
         match &self.mode {
@@ -717,22 +539,13 @@ impl<T: Target + Send + 'static> Target for AsyncTarget<T> {
             return None;
         };
         let n = ranges.len();
-        let (rtx, rrx) = mpsc::channel();
-        let out = a.output.clone();
-        a.tx.send(Box::new(move |t: &mut T| {
-            let r = run_multi(t, ranges);
-            drain_output(t, &out);
-            let _ = rtx.send(r);
-        }))
-        .expect("duel-io-actor is alive");
+        a.jobs
+            .send(Job::Submit(ranges))
+            .expect("duel-io-actor is alive");
         self.next_ticket += 1;
         let ticket = self.next_ticket;
-        self.inflight.push_back(Inflight {
-            ticket,
-            rx: rrx,
-            submitted: Instant::now(),
-        });
-        self.handle.on_submit();
+        self.inflight.push_back((ticket, Instant::now()));
+        self.handle.0.submits.fetch_add(1, Ordering::Relaxed);
         let depth = self.inflight.len();
         self.span_mark("submit", || format!("{n} ranges, depth {depth}"));
         Some(ticket)
@@ -741,30 +554,29 @@ impl<T: Target + Send + 'static> Target for AsyncTarget<T> {
     fn read_poll(&mut self, ticket: PipelineTicket) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
         // Tickets complete strictly FIFO; polling anything but the
         // oldest outstanding ticket is a caller bug.
-        let front = self.inflight.front()?;
-        if front.ticket != ticket {
+        let &(front, submitted) = self.inflight.front()?;
+        let Mode::Actor(a) = &self.mode else {
+            return None;
+        };
+        if front != ticket {
             return None;
         }
-        let inflight = self.inflight.pop_front()?;
+        self.inflight.pop_front();
         let wait_start = Instant::now();
-        let done = inflight.rx.recv().expect("duel-io-actor completed read");
+        let done = a.reads.recv().expect("duel-io-actor completed read");
         let wait_ns = wait_start.elapsed().as_nanos() as u64;
-        let overlap_ns = wait_start.duration_since(inflight.submitted).as_nanos() as u64;
-        let (mut clean, mut failed, mut bytes) = (0u64, 0u64, 0u64);
-        for (o, r) in &done {
-            if r.is_ok() {
-                clean += 1;
-                bytes += o.buf.len() as u64;
-            } else {
-                failed += 1;
-            }
-        }
+        let overlap_ns = wait_start.duration_since(submitted).as_nanos() as u64;
+        self.handle.0.completions.fetch_add(1, Ordering::Relaxed);
         self.handle
-            .on_complete(clean, failed, bytes, wait_ns, overlap_ns);
+            .0
+            .overlap_ns
+            .fetch_add(overlap_ns, Ordering::Relaxed);
         let depth = self.inflight.len();
         self.span_mark("complete", || {
+            let failed = done.iter().filter(|(_, r)| r.is_err()).count();
             format!(
-                "{clean} clean, {failed} failed, waited {}, depth {depth}",
+                "{} clean, {failed} failed, waited {}, depth {depth}",
+                done.len() - failed,
                 crate::trace::fmt_ns(wait_ns)
             )
         });
@@ -834,8 +646,6 @@ mod tests {
         let s = t.handle().stats();
         assert_eq!(s.submits, 2);
         assert_eq!(s.completions, 2);
-        assert_eq!(s.ranges_clean, 2);
-        assert_eq!(s.max_queue_depth, 2);
     }
 
     #[test]
@@ -898,7 +708,6 @@ mod tests {
         let s = t.handle().stats();
         assert_eq!(s.submits, 4);
         assert_eq!(s.completions, 4);
-        assert_eq!(s.queue_depth, 0);
     }
 
     #[test]

@@ -121,6 +121,32 @@ fn walk_prefetch_never_adds_backend_reads() {
     }
 }
 
+/// A scan whose byte span leaves the address space is not planned, and
+/// the cache serves the last page uncached: with the planner on or off
+/// the values are the same faults, and nothing overflows.
+#[test]
+fn scans_past_the_top_of_the_address_space_match_demand_paging() {
+    let run = |expr: &str, prefetch: bool| {
+        let mut c = CachedTarget::new(scenario::combined());
+        let opts = EvalOptions {
+            prefetch,
+            error_values: true,
+            max_values: 6,
+            ..EvalOptions::default()
+        };
+        let (lines, err) = duel::core::oneshot_lines(&mut c, expr, &opts);
+        (lines, err.map(|e| e.to_string()))
+    };
+    for (expr, values) in [
+        ("((struct symbol **) 0xfffffffffffffff0)[0..3]", 4),
+        ("x[-9000000000000000000..9000000000000000000]", 6),
+    ] {
+        let demand = run(expr, false);
+        assert_eq!(demand.0.len(), values, "`{expr}`: {demand:?}");
+        assert_eq!(run(expr, true), demand, "`{expr}`");
+    }
+}
+
 /// The walk chase warms any non-NULL link, dangling ones included; a
 /// page that faults is the debuggee's honest answer, so in the REPL's
 /// tower the breaker must stay closed however many unhinted trees with

@@ -278,6 +278,117 @@ proptest! {
     }
 }
 
+/// One step of an I/O actor session, drawn as `(kind, a, b)`.
+type MirrorStep = (u8, u8, u8);
+
+const MIRROR_NAMES: [&str; 6] = ["x", "hash", "head", "root", "argv", "nonesuch"];
+const MIRROR_TAGS: [&str; 4] = ["symbol", "list", "node", "nonesuch"];
+
+/// Performs one step on `t` and renders its answer. Kinds 0–5 are
+/// symbol ops (`malloc` interns `void *` on the backend side), 6–7
+/// intern derived types on the caller's side, 8–10 are memory ops and
+/// 11 drains program output (`printf` produces some in kind 5).
+fn mirror_step(t: &mut dyn duel::target::Target, (kind, a, b): MirrorStep) -> String {
+    use duel::ctype::{Prim, TypeId};
+    use duel::target::{CallValue, ReadRange};
+    let name = MIRROR_NAMES[a as usize % MIRROR_NAMES.len()];
+    let tag = MIRROR_TAGS[a as usize % MIRROR_TAGS.len()];
+    let x = t.get_variable("x").expect("x").addr;
+    let int_arg = |t: &mut dyn duel::target::Target, v: u64| {
+        let int = t.types_mut().prim(Prim::Int);
+        CallValue::from_u64(int, v, 4, t.abi()).unwrap()
+    };
+    match kind % 12 {
+        0 => format!("{:?}", t.get_variable(name)),
+        1 => format!("{:?}", t.get_variable_in_frame(name, b as usize % 2)),
+        2 => format!(
+            "{:?} {:?} {:?} {:?}",
+            t.lookup_struct(tag),
+            t.lookup_union(tag),
+            t.lookup_enum(tag),
+            t.lookup_typedef(tag)
+        ),
+        3 => format!(
+            "{} {} {:?}",
+            t.has_function(if b % 2 == 0 { "malloc" } else { name }),
+            t.frame_count(),
+            t.frame_info(0)
+        ),
+        4 => {
+            let n = int_arg(t, 8 + b as u64);
+            format!("{:?}", t.call_func("malloc", &[n]))
+        }
+        5 => {
+            let fmt = t.alloc_space(8, 1).unwrap();
+            t.put_bytes(fmt, b"v=%d\n\0").unwrap();
+            let ch = t.types_mut().prim(Prim::Char);
+            let pch = t.types_mut().pointer(ch);
+            let f = CallValue::from_u64(pch, fmt, 8, t.abi()).unwrap();
+            let v = int_arg(t, b as u64);
+            format!("{:?}", t.call_func("printf", &[f, v]))
+        }
+        6 => {
+            let id = TypeId::from_raw(b as u32 % t.types().len() as u32);
+            format!("{:?}", t.types_mut().pointer(id))
+        }
+        7 => {
+            let id = TypeId::from_raw(b as u32 % t.types().len() as u32);
+            format!("{:?}", t.types_mut().array(id, Some(1 + a as u64 % 4)))
+        }
+        8 => {
+            let mut buf = vec![0; 1 + b as usize % 16];
+            let r = t.get_bytes(x + a as u64 * 4, &mut buf);
+            format!("{r:?} {buf:?}")
+        }
+        9 => {
+            let (mut p, mut q) = ([0u8; 4], [0u8; 8]);
+            let rs = t.get_bytes_multi(&mut [
+                ReadRange::new(x + a as u64, &mut p),
+                ReadRange::new(0x10 + b as u64, &mut q),
+            ]);
+            format!("{rs:?} {p:?} {q:?}")
+        }
+        10 => format!(
+            "{} {:?}",
+            t.is_mapped(x + a as u64 * 8, 1 + b as u64),
+            t.put_bytes(x + a as u64 % 16 * 4, &[b, a])
+        ),
+        _ => t.take_output(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64, ..ProptestConfig::default()
+    })]
+
+    /// The I/O actor's type-table mirror keeps raw type ids in step
+    /// with the backend: over random symbol ops, caller-side interning,
+    /// memory ops, output drains and actor stops and restarts, the
+    /// actor answers exactly as the bare backend, and ends with the
+    /// same type table.
+    #[test]
+    fn actor_type_mirror_matches_the_inline_backend(
+        steps in prop::collection::vec((0u8..13, 0u8..=255, 0u8..=255), 1..40),
+    ) {
+        use duel::target::{AsyncTarget, Target};
+        let mut inline = scenario::combined();
+        let mut actor = AsyncTarget::spawned(scenario::combined());
+        for &step in &steps {
+            if step.0 == 12 {
+                let on = !actor.is_async();
+                actor.set_async(on);
+                continue;
+            }
+            let want = mirror_step(&mut inline, step);
+            let got = mirror_step(&mut actor, step);
+            prop_assert_eq!(got, want, "step {:?} of {:?}", step, steps);
+        }
+        prop_assert_eq!(actor.take_output(), inline.take_output());
+        prop_assert_eq!(actor.types().snapshot(), inline.types().snapshot());
+    }
+}
+
 /// One step of a page-cache session.
 #[derive(Clone, Debug)]
 enum CacheOp {
