@@ -122,11 +122,11 @@ fn measure(w: &Workload, config: Config) -> (Duration, Vec<String>, Evidence) {
             t.handle().set_enabled(on);
             t.spans().set_enabled(on);
             if on {
-                // Attribution coverage is guaranteed for events whose
-                // spans are still buffered, so size both rings to hold
-                // the whole measured window (REPS evaluations) without
-                // wrapping — exactly what `.set trace_buf` does live.
-                t.handle().set_capacity(1 << 16);
+                // Attribution coverage is guaranteed for wire spans
+                // whose parents are still buffered, so size the ring to
+                // hold the whole measured window (REPS evaluations)
+                // without wrapping — exactly what `.set trace_buf` does
+                // live.
                 t.spans().set_capacity(1 << 16);
             }
             let start = Instant::now();
@@ -135,8 +135,12 @@ fn measure(w: &Workload, config: Config) -> (Duration, Vec<String>, Evidence) {
             let mut ev = Evidence::default();
             if on {
                 let snap = t.spans().snapshot();
-                let events = t.handle().recent_events(usize::MAX);
-                let (ok, total) = attribution_coverage(&snap, &events);
+                let (ok, total) = attribution_coverage(&snap);
+                assert_eq!(
+                    total as u64,
+                    t.handle().snapshot().total_calls(),
+                    "every traced call must leave one wire span"
+                );
                 assert_eq!(snap.dropped, 0, "span ring must not wrap mid-measurement");
                 ev.spans_recorded = snap.spans.len();
                 ev.events_attributed = ok;

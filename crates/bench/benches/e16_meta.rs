@@ -69,15 +69,15 @@ fn check_agreement(failed: &mut bool) -> (usize, usize) {
     let mut r = Repl::new();
     run(&mut r, ".set trace_buf 65536"); // ring == totals: nothing drops
     run(&mut r, ".trace on");
-    run(&mut r, ".trace spans on");
     // The E2-style workload: scans, a filtered scan, a pointer walk.
     run(&mut r, "x[..200] >? 5 <? 120");
     run(&mut r, "#/(hash[..1024]-->next)");
     run(&mut r, "head-->next->value");
 
     let trace = r.trace_handle().snapshot();
-    assert_eq!(trace.events_dropped, 0, "ring must hold every event");
-    let ring = r.trace_handle().recent_events(usize::MAX);
+    let spans = r.span_context().snapshot();
+    assert_eq!(spans.dropped, 0, "ring must hold every span");
+    let ring: Vec<_> = spans.wire().collect();
     let mut ops_checked = 0;
 
     // Per-op totals: `.top`'s table aggregates `calls` and `total_ns`
@@ -120,8 +120,8 @@ fn check_agreement(failed: &mut bool) -> (usize, usize) {
     // in the same order.
     let seqs = column(&mut r, "events[..nevents].seq");
     let lats = column(&mut r, "events[..nevents].lat_ns");
-    let ring_seqs: Vec<u64> = ring.iter().map(|e| e.seq).collect();
-    let ring_lats: Vec<u64> = ring.iter().map(|e| e.nanos).collect();
+    let ring_seqs: Vec<u64> = ring.iter().map(|e| e.id).collect();
+    let ring_lats: Vec<u64> = ring.iter().map(|e| e.dur_ns).collect();
     if seqs != ring_seqs || lats != ring_lats {
         eprintln!(
             "FAIL: meta event array diverges from the ring ({} vs {} events)",
@@ -221,7 +221,7 @@ fn check_isolation(failed: &mut bool) -> (u64, bool) {
     let expr = "x[1..4,8,12..50] >? 5 <? 10";
     let before_out = run(&mut r, expr);
     let wire_before = r.trace_handle().snapshot().total_calls();
-    let counters_before = r.metrics().snapshot().counters;
+    let counters_before = r.metrics().counters;
 
     for q in [
         "counters[..ncounters].value",
@@ -234,7 +234,7 @@ fn check_isolation(failed: &mut bool) -> (u64, bool) {
     }
 
     let wire_after = r.trace_handle().snapshot().total_calls();
-    let counters_after = r.metrics().snapshot().counters;
+    let counters_after = r.metrics().counters;
     let clean = wire_after == wire_before && counters_after == counters_before;
     if !clean {
         eprintln!("FAIL: meta-queries touched the tower (wire {wire_before} -> {wire_after})");

@@ -19,9 +19,9 @@ use std::fmt::Write as _;
 
 use duel_cli::{render_top_report, Repl};
 use duel_target::capture::{Capture, CaptureCall};
-use duel_target::trace::{fmt_ns, TraceEvent, TraceHandle, TraceStats};
+use duel_target::trace::{dump_line, fmt_ns, TraceHandle, TraceOutcome, TraceStats};
 use duel_target::{
-    chrome_trace_json, MetaCapture, MetaSnapshot, MetaTarget, MetricsRegistry, SpanContext,
+    chrome_trace_json, MetaCapture, MetaSnapshot, MetaTarget, MetricsSnapshot, SpanContext,
     SpanKind,
 };
 
@@ -116,84 +116,60 @@ fn main() {
 }
 
 /// Rebuilds live-telemetry shapes from a capture: a span context with
-/// one `capture` root covering the recording, the events laid end to
-/// end on a synthetic timeline (captures hold per-call latencies, not
-/// wall-clock timestamps) and attributed to that root, and a
-/// [`TraceHandle`] fed through the live `TraceStats` machinery — so
-/// the offline views and the REPL's stay one code path.
-fn synthesize(cap: &Capture) -> (SpanContext, Vec<TraceEvent>, TraceHandle) {
-    let spans = SpanContext::new(cap.events.len().max(1));
+/// one `capture` root covering the recording, one wire span per event
+/// laid end to end on a synthetic timeline under that root (captures
+/// hold per-call latencies, not wall-clock timestamps), and the
+/// [`TraceHandle`] those calls were counted into — the live
+/// recording path, so the offline views and the REPL's stay one code
+/// path.
+fn synthesize(cap: &Capture) -> (SpanContext, TraceHandle) {
+    let spans = SpanContext::new(cap.events.len() + 1);
     spans.set_enabled(true);
-    let trace = spans.begin_trace();
-    let total_ns: u64 = cap.events.iter().map(|e| e.ns).sum();
+    spans.begin_trace();
     let h = &cap.header;
-    let root = spans.record_closed(
+    let root = spans.push_at(
         SpanKind::Root,
         "capture",
         || format!("{} / {}", h.backend, h.scenario),
         0,
-        total_ns,
     );
-    let handle = TraceHandle::new(cap.events.len().max(1));
-    handle.set_enabled(true);
+    let handle = TraceHandle::new();
     let mut ts = 0u64;
-    let events: Vec<TraceEvent> = cap
-        .events
-        .iter()
-        .map(|ev| {
-            let op = ev.call.trace_op();
-            let detail = ev.call.detail();
-            let outcome = ev.reply.outcome();
-            handle.record_event(op, detail.clone(), outcome, ev.ns);
-            let e = TraceEvent {
-                seq: ev.seq,
-                op,
-                detail,
-                outcome,
-                nanos: ev.ns,
-                ts_ns: ts,
-                trace,
-                span: root,
-            };
-            ts += ev.ns;
-            e
-        })
-        .collect();
-    (spans, events, handle)
+    for ev in &cap.events {
+        let op = ev.call.trace_op();
+        handle.record(
+            &spans,
+            op,
+            || ev.call.detail(),
+            ev.reply.outcome(),
+            ts,
+            ev.ns,
+        );
+        ts += ev.ns;
+    }
+    spans.finish(root, ts, TraceOutcome::Ok);
+    (spans, handle)
 }
 
-/// Charges a capture's per-op totals to a fresh metrics registry under
-/// the same `wire.<op>.{calls,errors,ns}` names the live REPL's
-/// `feed_metrics` uses, so offline meta-queries and counter tables
-/// read identically to live ones.
-fn wire_metrics(stats: &TraceStats) -> MetricsRegistry {
-    let m = MetricsRegistry::new();
-    for o in stats.ops.iter().filter(|o| o.calls > 0) {
-        m.counter(&format!("wire.{}.calls", o.op.name()))
-            .add(o.calls);
-        if o.errors > 0 {
-            m.counter(&format!("wire.{}.errors", o.op.name()))
-                .add(o.errors);
-        }
-        m.counter(&format!("wire.{}.ns", o.op.name()))
-            .add(o.total_ns);
-    }
-    m
+/// The capture's per-op totals as the `wire.<op>.{calls,errors,ns}`
+/// counters the live REPL reports, so offline meta-queries and counter
+/// tables read identically to live ones.
+fn wire_metrics(stats: &TraceStats) -> MetricsSnapshot {
+    MetricsSnapshot::default().with_counters(stats.wire_counters())
 }
 
 /// The offline `.top`: hottest spans (here: the one capture root),
 /// wire ops, and busiest counters, rendered by the same
 /// [`render_top_report`] the live view uses.
 fn render_offline_top(path: &str, cap: &Capture, n: usize) -> String {
-    let (spans, _, handle) = synthesize(cap);
+    let (spans, handle) = synthesize(cap);
     let stats = handle.snapshot();
-    let metrics = wire_metrics(&stats);
     let mut out = String::new();
     let _ = writeln!(out, "top — `{path}` ({} events)", cap.events.len());
     render_top_report(
         Some(&spans.snapshot()),
         &stats,
-        &metrics.snapshot(),
+        &wire_metrics(&stats),
         n,
         &mut out,
     );
@@ -205,12 +181,10 @@ fn render_offline_top(path: &str, cap: &Capture, n: usize) -> String {
 /// header identity) and evaluates the DUEL expression against it.
 /// Returns the rendered output and whether the query failed.
 fn run_query(cap: &Capture, expr: &str) -> (String, bool) {
-    let (spans, events, handle) = synthesize(cap);
-    let metrics = wire_metrics(&handle.snapshot());
+    let (spans, handle) = synthesize(cap);
     let snap = MetaSnapshot {
         spans: spans.snapshot(),
-        events,
-        metrics: metrics.snapshot(),
+        metrics: wire_metrics(&handle.snapshot()),
         capture: Some(MetaCapture {
             backend: cap.header.backend.clone(),
             scenario: cap.header.scenario.clone(),
@@ -234,14 +208,14 @@ fn run_query(cap: &Capture, expr: &str) -> (String, bool) {
 /// ui.perfetto.dev); a zero-event capture still yields a valid
 /// (metadata-only) document.
 fn export_perfetto(out: &str, cap: &Capture) {
-    let (spans, events, _) = synthesize(cap);
+    let (spans, _) = synthesize(cap);
     let total_ns: u64 = cap.events.iter().map(|e| e.ns).sum();
-    let json = chrome_trace_json(&spans.snapshot(), &events);
+    let json = chrome_trace_json(&spans.snapshot());
     match std::fs::write(out, &json) {
         Ok(()) => {
             println!(
                 "perfetto trace written to {out} ({} events, {} of recorded latency)",
-                events.len(),
+                cap.events.len(),
                 fmt_ns(total_ns)
             );
         }
@@ -254,17 +228,9 @@ fn export_perfetto(out: &str, cap: &Capture) {
 
 /// Renders one capture event in the `.trace dump` format.
 fn render(ev: &duel_target::capture::CaptureEvent) -> String {
-    TraceEvent {
-        seq: ev.seq,
-        op: ev.call.trace_op(),
-        detail: ev.call.detail(),
-        outcome: ev.reply.outcome(),
-        nanos: ev.ns,
-        ts_ns: 0,
-        trace: 0,
-        span: 0,
-    }
-    .render()
+    let detail = ev.call.detail();
+    let op = ev.call.trace_op().name();
+    dump_line(ev.seq, op, &detail, ev.reply.outcome(), ev.ns, 0)
 }
 
 fn print_timeline(cap: &Capture, n: usize) {
@@ -305,8 +271,7 @@ fn print_summary(path: &str, cap: &Capture) {
         fmt_ns(total_ns)
     );
 
-    let (_, _, handle) = synthesize(cap);
-    let stats = handle.snapshot();
+    let stats = synthesize(cap).1.snapshot();
     println!("\nper-op stats:");
     for o in stats.ops.iter().filter(|o| o.calls > 0) {
         println!(
@@ -386,8 +351,8 @@ mod tests {
 
     #[test]
     fn zero_event_capture_exports_valid_perfetto_json() {
-        let (spans, events, _) = synthesize(&empty_capture());
-        let json = chrome_trace_json(&spans.snapshot(), &events);
+        let (spans, _) = synthesize(&empty_capture());
+        let json = chrome_trace_json(&spans.snapshot());
         let doc = Json::parse(&json).expect("empty-capture chrome trace must parse");
         let Some(Json::Arr(events)) = doc.get("traceEvents") else {
             panic!("traceEvents array missing in {json}");

@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 
 use duel_core::{DuelError, EvalOptions, EvalStats, Session, SymMode, Value};
 use duel_minic::{Debugger, StopReason};
+use duel_target::trace::{dump_line, fmt_ns};
 use duel_target::{
     chrome_trace_json, folded_stacks, scenario, CacheConfig, CachedTarget, ChaosHandle,
     FaultTarget, FlameWeight, MetaCapture, MetaSnapshot, MetaTarget, MetricsRegistry,
@@ -71,18 +72,21 @@ impl Debuggee {
         Debuggee::Sim(FaultTarget::gate(t))
     }
 
-    /// Builds the REPL's tower over this debuggee.
-    fn tower(self, cache: bool) -> Box<Tower<Debuggee>> {
+    /// Builds the REPL's tower over this debuggee, around the
+    /// session's trace handle and span timeline.
+    fn tower(self, cache: bool, trace: &TraceHandle, spans: &SpanContext) -> Box<Tower<Debuggee>> {
         let cfg = CacheConfig {
             enabled: cache,
             ..CacheConfig::default()
         };
-        Box::new(TraceTarget::with_label(
+        Box::new(TraceTarget::with_handles(
             SupervisedTarget::new(RetryTarget::new(CachedTarget::with_config(
                 RecordTarget::new(self),
                 cfg,
             ))),
             "session",
+            trace.clone(),
+            spans.clone(),
         ))
     }
 
@@ -122,26 +126,19 @@ pub struct Repl {
     options: EvalOptions,
     last_stats: EvalStats,
     cache_enabled: bool,
-    /// Sticky `.trace on` state, reapplied when `.scenario`/`.load`
-    /// replace the backend (and with it the trace handle).
-    trace_enabled: bool,
     /// Sticky `.set degrade` state, reapplied when the backend (and
     /// with it the supervisor) is replaced.
     degrade_enabled: bool,
-    /// Sticky `.trace spans on|off` state, reapplied on backend swaps.
-    spans_enabled: bool,
-    /// Sticky `.set trace_buf N` ring capacity (trace events and span
-    /// records), reapplied on backend swaps. `None` = library default.
-    trace_buf: Option<usize>,
-    /// Session-lifetime metrics registry: survives `.scenario`/`.load`/
-    /// `.replay` (unlike the per-tower trace handle), fed with
-    /// watermark deltas after every evaluated command, reset only by
-    /// `.trace clear`.
+    /// The session's wire counters: every tower the REPL builds
+    /// (`.scenario`/`.load`/`.replay`) is built around this one handle,
+    /// so `.trace on|off` and the counters outlive backend swaps.
+    trace: TraceHandle,
+    /// The session's one span timeline (wire spans included), shared by
+    /// every tower like `trace`; `.set trace_buf` bounds it.
+    spans: SpanContext,
+    /// Session-lifetime evaluator counters, fed after every evaluated
+    /// command; reset only by `.trace clear`.
     metrics: MetricsRegistry,
-    /// Per-op (calls, errors, total_ns) totals at the previous
-    /// watermark, so `feed_metrics` charges only this command's wire
-    /// traffic. Cleared on backend swaps (the new handle starts at 0).
-    wire_seen: HashMap<&'static str, (u64, u64, u64)>,
     /// Label of the current debuggee (scenario name or program path),
     /// written into capture headers by `.record`.
     scenario_label: String,
@@ -177,15 +174,14 @@ DUEL commands:
                      serve the session from a capture instead of a
                      live backend (strict: exact recorded sequence,
                      permissive: new expressions over frozen state)
-  .trace on|off      record every target call (latency, outcome)
-  .trace spans on|off
-                     causal span tracing: attribute every wire event
-                     to the evaluator node that caused it
-  .trace [dump [N]]  show per-op latency stats / the last N events
+  .trace on|off      record every target call (latency, outcome) as a
+                     wire span under the evaluator node that caused it;
+                     counters and spans live for the whole session
+  .trace [dump [N]]  show per-op latency stats / the last N wire calls
   .trace clear       reset trace counters, latency histograms, the
-                     event buffer, the span ring, and live metrics
+                     span ring, and live metrics
   .trace export FILE write a Chrome trace-event JSON of the span tree
-                     and wire events (load in ui.perfetto.dev)
+                     and its wire calls (load in ui.perfetto.dev)
   .trace flame FILE [ns|reads]
                      write folded stacks weighted by wire latency or
                      backend reads (flamegraph.pl / speedscope input)
@@ -222,16 +218,16 @@ DUEL commands:
                      and fetch `-->` walks over field links one tree
                      level per read (`hash[..n]-->next`,
                      `root-->(left,right)`) (default: off)
-  .set trace_buf N   capacity of the trace-event and span rings
-                     (default 4096 events / 8192 spans; one entry
-                     costs ~100-140 bytes, so 8192 spans ≈ 1 MiB)
+  .set trace_buf N   capacity of the span ring, wire spans included
+                     (default 8192; one span costs ~100-140 bytes,
+                     so 8192 spans ≈ 1 MiB)
   .quit              exit
 ";
 
 /// Renders the hottest-spans / hottest-wire-ops / busiest-counters
 /// tables shared by the live `.top` view and `duel-replay --top`.
 /// `spans: None` skips the span table (the live view passes `None`
-/// when span tracing is off, after printing its own hint); `limit`
+/// when tracing is off, after printing its own hint); `limit`
 /// bounds the span rows (wire ops and counters keep their fixed 6/8
 /// budgets so the view stays one screen).
 pub fn render_top_report(
@@ -254,8 +250,8 @@ pub fn render_top_report(
                 "  {:<10} {:>6} {:>10} {:>10}  {}{}",
                 row.kind.name(),
                 row.count,
-                duel_target::trace::fmt_ns(row.self_ns),
-                duel_target::trace::fmt_ns(row.total_ns),
+                fmt_ns(row.self_ns),
+                fmt_ns(row.total_ns),
                 row.name,
                 if row.detail.is_empty() {
                     String::new()
@@ -276,8 +272,8 @@ pub fn render_top_report(
                 o.op.name(),
                 o.calls,
                 o.errors,
-                duel_target::trace::fmt_ns(o.total_ns),
-                duel_target::trace::fmt_ns(o.quantile_ns(0.99))
+                fmt_ns(o.total_ns),
+                fmt_ns(o.quantile_ns(0.99))
             );
         }
     }
@@ -309,18 +305,17 @@ impl Repl {
     /// Creates a REPL with explicit options and an initial caching
     /// state (`--no-cache` passes `cache_enabled = false`).
     pub fn with_config(options: EvalOptions, cache_enabled: bool) -> Repl {
+        let (trace, spans) = (TraceHandle::new(), SpanContext::default());
         Repl {
-            backend: Debuggee::sim(scenario::combined()).tower(cache_enabled),
+            backend: Debuggee::sim(scenario::combined()).tower(cache_enabled, &trace, &spans),
             aliases: HashMap::new(),
             options,
             last_stats: EvalStats::default(),
             cache_enabled,
-            trace_enabled: false,
             degrade_enabled: true,
-            spans_enabled: false,
-            trace_buf: None,
+            trace,
+            spans,
             metrics: MetricsRegistry::new(),
-            wire_seen: HashMap::new(),
             scenario_label: "combined".into(),
         }
     }
@@ -358,45 +353,34 @@ impl Repl {
         )
     }
 
-    /// Reapplies every sticky toggle to a freshly built backend tower
-    /// (tracing, span tracing, degrade mode, ring capacities) and
-    /// resets the wire watermark — the new trace handle counts from
-    /// zero, so stale watermarks would produce negative deltas.
-    fn apply_sticky(&mut self) {
-        self.backend.handle().set_enabled(self.trace_enabled);
+    /// Swaps in a new debuggee: finalizes an in-flight recording,
+    /// builds the tower around the session's trace handle and span
+    /// timeline (so telemetry carries over), reapplies degrade mode to
+    /// the fresh supervisor, and drops the aliases.
+    fn replace_backend(&mut self, debuggee: Debuggee, out: &mut String) {
+        self.note_recording_dropped(out);
+        self.backend = debuggee.tower(self.cache_enabled, &self.trace, &self.spans);
         self.backend.inner_mut().set_degrade(self.degrade_enabled);
-        self.backend.spans().set_enabled(self.spans_enabled);
-        if let Some(n) = self.trace_buf {
-            self.backend.handle().set_capacity(n);
-            self.backend.spans().set_capacity(n);
-        }
-        self.wire_seen.clear();
+        self.aliases.clear();
     }
 
-    /// The span context of the current tower (`--trace-perfetto`
-    /// exports from it at exit; replaced by `.scenario`/`.load`).
+    /// The session's span timeline (`--trace-perfetto` exports from it
+    /// at exit; shared by every tower the session builds).
     pub fn span_context(&self) -> SpanContext {
-        self.backend.spans()
+        self.spans.clone()
     }
 
-    /// Turns causal span tracing on or off (the `.trace spans on|off`
-    /// command; sticky across backend swaps). Spans also require the
-    /// event trace to be useful in exports, but are independent of it.
-    pub fn set_span_tracing(&mut self, on: bool) {
-        self.spans_enabled = on;
-        self.backend.spans().set_enabled(on);
+    /// The session's metrics: the registry's evaluator counters plus
+    /// the `wire.<op>.{calls,errors,ns}` counters read from the session
+    /// trace handle (`.top`, `.stats json` and `.query` read this).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics
+            .snapshot()
+            .with_counters(self.trace.snapshot().wire_counters())
     }
 
-    /// The session's live metrics registry (`.top` and `.stats json`
-    /// read it; survives backend swaps).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Charges the just-finished command to the always-on metrics
-    /// registry: evaluator counters from `last_stats`, wire traffic as
-    /// a delta against the previous watermark of the trace handle's
-    /// per-op totals.
+    /// Charges the just-finished command's evaluator counters to the
+    /// session metrics registry.
     fn feed_metrics(&mut self) {
         let s = &self.last_stats;
         let m = &self.metrics;
@@ -413,39 +397,12 @@ impl Repl {
             .add(s.pipeline_overlap_ns);
         m.histogram("eval.ticks_per_command").observe(s.ticks);
         m.histogram("eval.values_per_command").observe(s.values);
-        let snap = self.backend.handle().snapshot();
-        let mut wire_ns = 0u64;
-        let mut wire_calls = 0u64;
-        for o in &snap.ops {
-            let prev = self
-                .wire_seen
-                .insert(o.op.name(), (o.calls, o.errors, o.total_ns))
-                .unwrap_or((0, 0, 0));
-            let calls = o.calls.saturating_sub(prev.0);
-            let errors = o.errors.saturating_sub(prev.1);
-            let ns = o.total_ns.saturating_sub(prev.2);
-            if calls == 0 && errors == 0 {
-                continue;
-            }
-            m.counter(&format!("wire.{}.calls", o.op.name())).add(calls);
-            if errors > 0 {
-                m.counter(&format!("wire.{}.errors", o.op.name()))
-                    .add(errors);
-            }
-            m.counter(&format!("wire.{}.ns", o.op.name())).add(ns);
-            wire_ns += ns;
-            wire_calls += calls;
-        }
-        if wire_calls > 0 {
-            m.histogram("wire.calls_per_command").observe(wire_calls);
-            m.histogram("wire.ns_per_command").observe(wire_ns);
-        }
     }
 
-    /// The target-call trace handle of the current backend tower (the
-    /// `--trace-json` exporter reads it; replaced by `.scenario`/`.load`).
+    /// The session's trace handle (the `--trace-json` exporter reads
+    /// it; shared by every tower the session builds).
     pub fn trace_handle(&self) -> TraceHandle {
-        self.backend.handle()
+        self.trace.clone()
     }
 
     /// The chaos gate of the simulated backend (`None` for mini-C and
@@ -456,11 +413,11 @@ impl Repl {
         self.debuggee().chaos()
     }
 
-    /// Turns target-call tracing on or off (the `.trace on|off`
-    /// command; sticky across `.scenario`/`.load`).
+    /// Turns tracing on or off (the `.trace on|off` command): the
+    /// per-op counters and the wire and evaluator spans together.
     pub fn set_tracing(&mut self, on: bool) {
-        self.trace_enabled = on;
-        self.backend.handle().set_enabled(on);
+        self.trace.set_enabled(on);
+        self.spans.set_enabled(on);
     }
 
     /// Exports the trace as a JSON document (the `--trace-json FILE`
@@ -477,26 +434,21 @@ impl Repl {
                 .replace('\\', "\\\\")
                 .replace('"', "\\\""),
             self.cache_enabled,
-            self.backend.handle().to_json("session")
+            self.trace.to_json("session", &self.spans.snapshot())
         )
     }
 
-    /// Resizes the trace-event and span rings (the `--trace-buf N`
-    /// flag and `.set trace_buf N`; sticky across backend swaps).
+    /// Resizes the span ring (the `--trace-buf N` flag and `.set
+    /// trace_buf N`).
     pub fn set_trace_buf(&mut self, n: usize) {
-        self.trace_buf = Some(n);
-        self.backend.handle().set_capacity(n);
-        self.backend.spans().set_capacity(n);
+        self.spans.set_capacity(n);
     }
 
-    /// The Chrome trace-event JSON of the current span tree and wire
-    /// events (the `--trace-perfetto FILE` flag writes this at exit;
-    /// loadable in ui.perfetto.dev).
+    /// The Chrome trace-event JSON of the span tree and its wire calls
+    /// (the `--trace-perfetto FILE` flag writes this at exit; loadable
+    /// in ui.perfetto.dev).
     pub fn perfetto_json(&self) -> String {
-        chrome_trace_json(
-            &self.backend.spans().snapshot(),
-            &self.backend.handle().recent_events(usize::MAX),
-        )
+        chrome_trace_json(&self.spans.snapshot())
     }
 
     /// The `.stats json` document: every tower counter in one
@@ -508,8 +460,8 @@ impl Repl {
         let c = self.cache().stats();
         let r = self.backend.inner().inner().stats();
         let sup = self.backend.inner().stats();
-        let t = self.backend.handle().snapshot();
-        let spans = self.backend.spans().snapshot();
+        let t = self.trace.snapshot();
+        let spans = self.spans.snapshot();
         let s = &self.last_stats;
         let mut members = vec![
             format!("\"eval_values\":{}", s.values),
@@ -535,31 +487,26 @@ impl Repl {
             format!("\"supervise_stale_reads\":{}", sup.stale_reads),
             format!("\"trace_calls\":{}", t.total_calls()),
             format!("\"trace_errors\":{}", t.total_errors()),
-            format!("\"trace_events_held\":{}", t.events_held),
-            format!("\"trace_events_dropped\":{}", t.events_dropped),
             format!("\"spans_buffered\":{}", spans.spans.len()),
             format!("\"spans_open\":{}", spans.open.len()),
             format!("\"spans_dropped\":{}", spans.dropped),
         ];
-        let registry = self.metrics.snapshot().to_json_members();
+        let registry = self.metrics().to_json_members();
         if !registry.is_empty() {
             members.push(registry);
         }
         format!(
             "{{\"schema_version\":1,\"name\":\"duel_stats\",\
              \"config\":{{\"backend\":\"{}\",\"scenario\":\"{}\",\"cache\":{},\
-             \"prefetch\":{},\"degrade\":{},\"trace\":{},\"spans\":{},\
-             \"trace_buf\":{},\"span_buf\":{}}},\
+             \"prefetch\":{},\"degrade\":{},\"trace\":{},\"trace_buf\":{}}},\
              \"metrics\":{{{}}}}}",
             self.debuggee().label(),
             esc(&self.scenario_label),
             self.cache_enabled,
             self.options.prefetch,
             self.degrade_enabled,
-            self.trace_enabled,
-            self.spans_enabled,
-            self.backend.handle().capacity(),
-            self.backend.spans().capacity(),
+            self.trace.is_enabled(),
+            self.spans.capacity(),
             members.join(",")
         )
     }
@@ -571,19 +518,16 @@ impl Repl {
     /// the shared renderer also serves `duel-replay --top`.
     fn render_top(&self, out: &mut String) {
         let _ = writeln!(out, "top — hottest since `.trace clear`");
-        let spans = if self.spans_enabled {
-            Some(self.backend.spans().snapshot())
+        let spans = if self.spans.is_enabled() {
+            Some(self.spans.snapshot())
         } else {
-            let _ = writeln!(
-                out,
-                "  (span tracing is off — `.trace spans on` to rank AST nodes)"
-            );
+            let _ = writeln!(out, "  (tracing is off — `.trace on` to rank AST nodes)");
             None
         };
         render_top_report(
             spans.as_ref(),
-            &self.backend.handle().snapshot(),
-            &self.metrics.snapshot(),
+            &self.trace.snapshot(),
+            &self.metrics(),
             10,
             out,
         );
@@ -595,16 +539,15 @@ impl Repl {
     }
 
     /// Freezes every telemetry source of the session into one
-    /// [`MetaSnapshot`]: the span and wire-event rings, the live
-    /// metrics registry, cache/retry/supervision counters, and the
+    /// [`MetaSnapshot`]: the span ring with its wire spans, the session
+    /// metrics, the current tower's cache/retry/supervision counters, and the
     /// replayed capture's identity when the session is offline. The
     /// snapshot is a copy — `.query` evaluates against it without
     /// touching the debuggee or the tower.
     pub fn meta_snapshot(&self) -> MetaSnapshot {
         MetaSnapshot {
-            spans: self.backend.spans().snapshot(),
-            events: self.backend.handle().recent_events(usize::MAX),
-            metrics: self.metrics.snapshot(),
+            spans: self.spans.snapshot(),
+            metrics: self.metrics(),
             cache: self.cache().stats().clone(),
             resident_pages: self.cache().resident_page_count() as u64,
             retry: self.backend.inner().inner().stats(),
@@ -765,10 +708,7 @@ impl Repl {
                     }
                 };
                 if let Some(t) = t {
-                    self.note_recording_dropped(out);
-                    self.backend = Debuggee::sim(t).tower(self.cache_enabled);
-                    self.apply_sticky();
-                    self.aliases.clear();
+                    self.replace_backend(Debuggee::sim(t), out);
                     self.scenario_label = if arg.is_empty() { "combined" } else { arg }.to_string();
                     let _ = writeln!(out, "scenario loaded; aliases cleared");
                 }
@@ -776,10 +716,7 @@ impl Repl {
             ".load" => match std::fs::read_to_string(arg) {
                 Ok(src) => match Debugger::new(&src) {
                     Ok(d) => {
-                        self.note_recording_dropped(out);
-                        self.backend = Debuggee::Minic(d).tower(self.cache_enabled);
-                        self.apply_sticky();
-                        self.aliases.clear();
+                        self.replace_backend(Debuggee::Minic(d), out);
                         self.scenario_label = arg.to_string();
                         let _ = writeln!(out, "compiled `{arg}`; set breakpoints and .run");
                     }
@@ -866,14 +803,14 @@ impl Repl {
                     if self.options.prefetch { "on" } else { "off" },
                     self.last_stats.prefetch_calls,
                     self.last_stats.prefetch_ranges,
-                    self.backend.handle().calls(duel_target::TraceOp::MultiRead)
+                    self.trace.calls(duel_target::TraceOp::MultiRead)
                 );
                 let _ = writeln!(
                     out,
                     "pipeline: {} windows planned, {} submitted ahead, overlap {}",
                     self.last_stats.windows_planned,
                     self.last_stats.windows_inflight,
-                    duel_target::trace::fmt_ns(self.last_stats.pipeline_overlap_ns)
+                    fmt_ns(self.last_stats.pipeline_overlap_ns)
                 );
                 let r = self.backend.inner().inner().stats();
                 let _ = writeln!(
@@ -882,7 +819,7 @@ impl Repl {
                     r.operations,
                     r.retries,
                     r.give_ups,
-                    duel_target::trace::fmt_ns(r.backoff_ns)
+                    fmt_ns(r.backoff_ns)
                 );
                 let s = self.backend.inner().stats();
                 let _ = writeln!(
@@ -902,16 +839,16 @@ impl Repl {
                         "off"
                     }
                 );
-                let h = self.backend.handle();
-                let t = h.snapshot();
+                let t = self.trace.snapshot();
+                let spans = self.spans.snapshot();
                 let _ = writeln!(
                     out,
-                    "trace: {} ({} calls recorded, {} errors, {} events buffered, {} dropped)",
-                    if h.is_enabled() { "on" } else { "off" },
+                    "trace: {} ({} calls recorded, {} errors, {} wire spans buffered, {} spans dropped)",
+                    if self.trace.is_enabled() { "on" } else { "off" },
                     t.total_calls(),
                     t.total_errors(),
-                    t.events_held,
-                    t.events_dropped
+                    spans.wire().count(),
+                    spans.dropped
                 );
                 let (rec_on, rec_events, rec_err) = self.record_info();
                 match self.debuggee().replay() {
@@ -1057,159 +994,129 @@ impl Repl {
                     }
                 },
             },
-            ".trace" => {
-                let h = self.backend.handle();
-                match arg {
-                    "on" => {
-                        self.set_tracing(true);
-                        let _ = writeln!(out, "tracing on");
-                    }
-                    "off" => {
-                        self.set_tracing(false);
-                        let _ = writeln!(out, "tracing off");
-                    }
-                    "clear" => {
-                        // One reset story: counters, latency histograms,
-                        // the event ring, the span ring, and the live
-                        // metrics registry all clear together — no view
-                        // may keep serving pre-clear latency buckets.
-                        h.clear();
-                        self.backend.spans().clear();
-                        self.metrics.clear();
-                        self.wire_seen.clear();
-                        let _ = writeln!(out, "trace cleared");
-                    }
-                    "spans" => {
-                        match line.split_whitespace().nth(2) {
-                            Some("on") => {
-                                self.set_span_tracing(true);
-                                let _ = writeln!(out, "span tracing on");
-                            }
-                            Some("off") => {
-                                self.set_span_tracing(false);
-                                let _ = writeln!(out, "span tracing off");
-                            }
-                            _ => {
-                                let s = self.backend.spans().snapshot();
+            ".trace" => match arg {
+                "on" => {
+                    self.set_tracing(true);
+                    let _ = writeln!(out, "tracing on");
+                }
+                "off" => {
+                    self.set_tracing(false);
+                    let _ = writeln!(out, "tracing off");
+                }
+                "clear" => {
+                    // One reset story: counters, latency histograms, the
+                    // span ring, and the metrics registry all clear
+                    // together — no view may keep serving pre-clear data.
+                    self.trace.clear();
+                    self.spans.clear();
+                    self.metrics.clear();
+                    let _ = writeln!(out, "trace cleared");
+                }
+                "export" => {
+                    let file = line.split_whitespace().nth(2).unwrap_or("");
+                    if file.is_empty() {
+                        let _ = writeln!(out, "usage: .trace export FILE");
+                    } else {
+                        let snap = self.spans.snapshot();
+                        match std::fs::write(file, chrome_trace_json(&snap)) {
+                            Ok(()) => {
                                 let _ = writeln!(
                                     out,
-                                    "span tracing {}; {} spans buffered, {} open, {} dropped",
-                                    if self.spans_enabled { "on" } else { "off" },
-                                    s.spans.len(),
-                                    s.open.len(),
-                                    s.dropped
+                                    "trace exported to `{file}` ({} spans, {} wire calls; \
+                                     load in ui.perfetto.dev)",
+                                    snap.len(),
+                                    snap.wire().count()
                                 );
                             }
-                        };
-                    }
-                    "export" => {
-                        let file = line.split_whitespace().nth(2).unwrap_or("");
-                        if file.is_empty() {
-                            let _ = writeln!(out, "usage: .trace export FILE");
-                        } else {
-                            let snap = self.backend.spans().snapshot();
-                            let events = h.recent_events(usize::MAX);
-                            let json = chrome_trace_json(&snap, &events);
-                            match std::fs::write(file, json) {
-                                Ok(()) => {
-                                    let _ = writeln!(
-                                        out,
-                                        "trace exported to `{file}` ({} spans, {} events; \
-                                         load in ui.perfetto.dev)",
-                                        snap.len(),
-                                        events.len()
-                                    );
-                                }
-                                Err(e) => {
-                                    let _ = writeln!(out, "cannot write `{file}`: {e}");
-                                }
+                            Err(e) => {
+                                let _ = writeln!(out, "cannot write `{file}`: {e}");
                             }
                         }
                     }
-                    "flame" => {
-                        let file = line.split_whitespace().nth(2).unwrap_or("");
-                        let weight = match line.split_whitespace().nth(3) {
-                            None | Some("ns") => Some(FlameWeight::WireNs),
-                            Some("reads") => Some(FlameWeight::WireReads),
-                            Some(other) => {
-                                let _ =
-                                    writeln!(out, "unknown flame weight `{other}` (ns or reads)");
-                                None
+                }
+                "flame" => {
+                    let file = line.split_whitespace().nth(2).unwrap_or("");
+                    let weight = match line.split_whitespace().nth(3) {
+                        None | Some("ns") => Some(FlameWeight::WireNs),
+                        Some("reads") => Some(FlameWeight::WireReads),
+                        Some(other) => {
+                            let _ = writeln!(out, "unknown flame weight `{other}` (ns or reads)");
+                            None
+                        }
+                    };
+                    if file.is_empty() {
+                        let _ = writeln!(out, "usage: .trace flame FILE [ns|reads]");
+                    } else if let Some(weight) = weight {
+                        let folded = folded_stacks(&self.spans.snapshot(), weight);
+                        match std::fs::write(file, &folded) {
+                            Ok(()) => {
+                                let _ = writeln!(
+                                    out,
+                                    "folded stacks written to `{file}` ({} lines; \
+                                     feed to flamegraph.pl or speedscope)",
+                                    folded.lines().count()
+                                );
                             }
-                        };
-                        if file.is_empty() {
-                            let _ = writeln!(out, "usage: .trace flame FILE [ns|reads]");
-                        } else if let Some(weight) = weight {
-                            let snap = self.backend.spans().snapshot();
-                            let events = h.recent_events(usize::MAX);
-                            let folded = folded_stacks(&snap, &events, weight);
-                            match std::fs::write(file, &folded) {
-                                Ok(()) => {
-                                    let _ = writeln!(
-                                        out,
-                                        "folded stacks written to `{file}` ({} lines; \
-                                         feed to flamegraph.pl or speedscope)",
-                                        folded.lines().count()
-                                    );
-                                }
-                                Err(e) => {
-                                    let _ = writeln!(out, "cannot write `{file}`: {e}");
-                                }
+                            Err(e) => {
+                                let _ = writeln!(out, "cannot write `{file}`: {e}");
                             }
                         }
                     }
-                    "dump" => {
-                        let n = line
-                            .split_whitespace()
-                            .nth(2)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(20);
-                        let events = h.recent_events(n);
-                        if events.is_empty() {
-                            let _ = writeln!(
-                                out,
-                                "no events recorded{}",
-                                if h.is_enabled() {
-                                    ""
-                                } else {
-                                    " (tracing is off)"
-                                }
-                            );
-                        }
-                        for e in events {
-                            let _ = writeln!(out, "{}", e.render());
-                        }
-                    }
-                    "" => {
-                        let t = h.snapshot();
+                }
+                "dump" => {
+                    let n = line
+                        .split_whitespace()
+                        .nth(2)
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or(20);
+                    let snap = self.spans.snapshot();
+                    let wire: Vec<_> = snap.wire().collect();
+                    if wire.is_empty() {
                         let _ = writeln!(
                             out,
-                            "tracing {}; {} calls recorded, {} events buffered",
-                            if h.is_enabled() { "on" } else { "off" },
-                            t.total_calls(),
-                            t.events_held
+                            "no events recorded{}",
+                            if self.trace.is_enabled() {
+                                ""
+                            } else {
+                                " (tracing is off)"
+                            }
                         );
-                        for o in t.ops.iter().filter(|o| o.calls > 0) {
-                            let _ = writeln!(
-                                out,
-                                "  {:<13} {:>8} calls {:>6} errors  mean {:>8}  p99 {:>8}",
-                                o.op.name(),
-                                o.calls,
-                                o.errors,
-                                duel_target::trace::fmt_ns(o.mean_ns()),
-                                duel_target::trace::fmt_ns(o.quantile_ns(0.99))
-                            );
-                        }
                     }
-                    other => {
+                    for w in &wire[wire.len().saturating_sub(n)..] {
+                        let line =
+                            dump_line(w.id, w.name, &w.detail, w.outcome, w.dur_ns, w.parent);
+                        let _ = writeln!(out, "{line}");
+                    }
+                }
+                "" => {
+                    let t = self.trace.snapshot();
+                    let _ = writeln!(
+                        out,
+                        "tracing {}; {} calls recorded, {} events buffered",
+                        if self.trace.is_enabled() { "on" } else { "off" },
+                        t.total_calls(),
+                        self.spans.snapshot().wire().count()
+                    );
+                    for o in t.ops.iter().filter(|o| o.calls > 0) {
                         let _ = writeln!(
                             out,
-                            "usage: .trace [on|off|spans on|off|dump [N]|clear|\
-                             export FILE|flame FILE [ns|reads]] (got `{other}`)"
+                            "  {:<13} {:>8} calls {:>6} errors  mean {:>8}  p99 {:>8}",
+                            o.op.name(),
+                            o.calls,
+                            o.errors,
+                            fmt_ns(o.mean_ns()),
+                            fmt_ns(o.quantile_ns(0.99))
                         );
                     }
                 }
-            }
+                other => {
+                    let _ = writeln!(
+                        out,
+                        "usage: .trace [on|off|dump [N]|clear|\
+                         export FILE|flame FILE [ns|reads]] (got `{other}`)"
+                    );
+                }
+            },
             ".record" => match arg {
                 "" => {
                     let (on, events, err) = self.record_info();
@@ -1280,11 +1187,8 @@ impl Repl {
                     if let Some(mode) = mode {
                         match ReplayTarget::load(arg, mode) {
                             Ok(r) => {
-                                self.note_recording_dropped(out);
                                 let total = r.events_total();
-                                self.backend = Debuggee::Replay(r).tower(self.cache_enabled);
-                                self.apply_sticky();
-                                self.aliases.clear();
+                                self.replace_backend(Debuggee::Replay(r), out);
                                 let _ = writeln!(
                                     out,
                                     "replaying `{arg}` ({total} events, {mode:?}); aliases cleared"
@@ -1366,13 +1270,10 @@ impl Repl {
                     }
                     "trace_buf" => match val.parse::<usize>() {
                         Ok(n) if n > 0 => {
-                            self.trace_buf = Some(n);
-                            self.backend.handle().set_capacity(n);
-                            self.backend.spans().set_capacity(n);
+                            self.set_trace_buf(n);
                             let _ = writeln!(
                                 out,
-                                "trace and span rings resized to {n} entries \
-                                 (~{} KiB each at worst)",
+                                "trace ring resized to {n} spans (~{} KiB at worst)",
                                 n.saturating_mul(140) / 1024
                             );
                         }
@@ -1694,16 +1595,17 @@ mod tests {
         let mut r = Repl::new();
         let mut out = String::new();
         r.handle(".trace on", &mut out);
-        r.handle(".trace spans on", &mut out);
         r.handle("x[..8] >? 5", &mut out);
         let snap = r.meta_snapshot();
-        assert!(!snap.events.is_empty());
+        let nevents = snap.spans.wire().count();
+        assert!(nevents > 0);
+        assert_eq!(nevents as u64, r.trace_handle().snapshot().total_calls());
         assert!(!snap.spans.spans.is_empty());
         out.clear();
         r.handle(".query nevents", &mut out);
         assert_eq!(
             out.trim().parse::<usize>().expect("nevents"),
-            snap.events.len(),
+            nevents,
             "{out}"
         );
         out.clear();
@@ -1722,7 +1624,7 @@ mod tests {
         r.handle(".trace on", &mut out);
         r.handle("x[..5]", &mut out);
         let calls_before = r.trace_handle().snapshot().total_calls();
-        let counters_before = r.metrics().snapshot().counters;
+        let counters_before = r.metrics().counters;
         out.clear();
         r.handle(".query counters[..ncounters].value", &mut out);
         r.handle(".query events[..nevents].lat_ns >? 0", &mut out);
@@ -1732,7 +1634,7 @@ mod tests {
             "meta-queries must not touch the debuggee wire"
         );
         assert_eq!(
-            r.metrics().snapshot().counters,
+            r.metrics().counters,
             counters_before,
             "meta-queries must not feed the metrics they inspect"
         );
@@ -2267,7 +2169,6 @@ mod tests {
         let mut r = Repl::new();
         let mut out = String::new();
         r.handle(".trace on", &mut out);
-        r.handle(".trace spans on", &mut out);
         r.handle("x[..10] >? 5", &mut out);
         out.clear();
         r.handle(&format!(".trace export {path}"), &mut out);
@@ -2281,10 +2182,11 @@ mod tests {
         assert!(json.contains("\"cat\":\"wire-event\""), "{json}");
         std::fs::remove_file(&path).ok();
 
-        // Every buffered wire event chains to a live eval root.
+        // Every buffered wire span chains to a live eval root, and
+        // every traced call has one.
         let snap = r.span_context().snapshot();
-        let events = r.trace_handle().recent_events(usize::MAX);
-        let (ok, total) = duel_target::attribution_coverage(&snap, &events);
+        let (ok, total) = duel_target::attribution_coverage(&snap);
+        assert_eq!(total as u64, r.trace_handle().snapshot().total_calls());
         assert!(total > 0);
         assert_eq!(ok, total, "all wire events must have a rooted ancestry");
     }
@@ -2298,7 +2200,6 @@ mod tests {
         let mut r = Repl::new();
         let mut out = String::new();
         r.handle(".trace on", &mut out);
-        r.handle(".trace spans on", &mut out);
         r.handle("x[..5]", &mut out);
         out.clear();
         r.handle(&format!(".trace flame {path} reads"), &mut out);
@@ -2321,9 +2222,8 @@ mod tests {
         let mut r = Repl::new();
         let mut out = String::new();
         r.handle(".top", &mut out);
-        assert!(out.contains("span tracing is off"), "{out}");
+        assert!(out.contains("tracing is off"), "{out}");
         r.handle(".trace on", &mut out);
-        r.handle(".trace spans on", &mut out);
         r.handle("x[..10]", &mut out);
         out.clear();
         r.handle(".top", &mut out);
@@ -2365,22 +2265,24 @@ mod tests {
     }
 
     #[test]
-    fn trace_buf_resizes_both_rings_and_survives_swaps() {
+    fn trace_buf_bounds_the_span_ring_across_swaps() {
         let mut r = Repl::new();
         let mut out = String::new();
         r.handle(".set trace_buf 64", &mut out);
         assert!(out.contains("resized to 64"), "{out}");
-        assert_eq!(r.trace_handle().capacity(), 64);
         assert_eq!(r.span_context().capacity(), 64);
         r.handle(".scenario scan", &mut out);
-        assert_eq!(r.trace_handle().capacity(), 64, "sticky across swap");
         assert_eq!(r.span_context().capacity(), 64, "sticky across swap");
-        // The ring stays bounded: more events than capacity drop oldest.
+        // The ring stays bounded: more spans than capacity drop oldest.
         r.handle(".trace on", &mut out);
-        r.handle(".trace spans on", &mut out);
         r.handle("x[..60]", &mut out);
         let snap = r.span_context().snapshot();
         assert!(snap.spans.len() <= 64, "{}", snap.spans.len());
+        assert!(snap.dropped > 0, "x[..60] overflows a 64-span ring");
+        let stats: duel_target::json::Json =
+            duel_target::json::Json::parse(&r.stats_json()).expect("stats json");
+        let cfg = stats.get("config").expect("config block");
+        assert_eq!(cfg.get("trace_buf").and_then(|v| v.as_u64()), Some(64));
     }
 
     #[test]
@@ -2388,16 +2290,14 @@ mod tests {
         let mut r = Repl::new();
         let mut out = String::new();
         r.handle(".trace on", &mut out);
-        r.handle(".trace spans on", &mut out);
         r.handle("x[..10]", &mut out);
         // Everything is hot.
         assert!(r.trace_handle().snapshot().total_calls() > 0);
-        assert!(!r.span_context().snapshot().spans.is_empty());
-        assert!(!r.metrics().snapshot().counters.is_empty());
+        assert!(r.span_context().snapshot().wire().count() > 0);
+        assert!(!r.metrics().counters.is_empty());
         r.handle(".trace clear", &mut out);
         let t = r.trace_handle().snapshot();
         assert_eq!(t.total_calls(), 0);
-        assert_eq!(t.events_held, 0);
         // No stale latency buckets may survive the clear: the per-op
         // histograms must be all-zero, not just the counters.
         for o in &t.ops {
@@ -2410,45 +2310,88 @@ mod tests {
         }
         let s = r.span_context().snapshot();
         assert!(s.spans.is_empty() && s.open.is_empty() && s.dropped == 0);
-        let m = r.metrics().snapshot();
+        let m = r.metrics();
         assert!(m.counters.is_empty() && m.histograms.is_empty());
     }
 
+    /// The `get_bytes` calls `.trace`'s per-op table reports.
+    fn traced_reads(r: &mut Repl) -> u64 {
+        let mut out = String::new();
+        r.handle(".trace", &mut out);
+        out.lines()
+            .find(|l| l.trim_start().starts_with("get_bytes "))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .map_or(0, |n| n.parse().expect("calls column"))
+    }
+
+    /// The session metrics as `.query counters` reports them.
+    fn queried_counters(r: &mut Repl) -> Vec<(String, u64)> {
+        let (mut names, mut values) = (String::new(), String::new());
+        r.handle(".query counters[..ncounters].name", &mut names);
+        r.handle(".query counters[..ncounters].value", &mut values);
+        let col = |l: &str| l.split(" = ").nth(1).unwrap_or_default().to_string();
+        names
+            .lines()
+            .zip(values.lines())
+            .map(|(n, v)| {
+                (
+                    col(n).trim_matches('"').to_string(),
+                    col(v).parse().unwrap(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn span_state_survives_scenario_switch_and_swap_resets_counters() {
+    fn telemetry_spans_backend_swaps_until_trace_clear() {
+        // What one `x[..10]` costs on each backend, in fresh sessions.
+        let solo = |scenario: &str| {
+            let mut r = Repl::new();
+            let mut out = String::new();
+            r.handle(&format!(".scenario {scenario}"), &mut out);
+            r.handle(".trace on", &mut out);
+            r.handle("x[..10]", &mut out);
+            traced_reads(&mut r)
+        };
+        let (first, second) = (solo("combined"), solo("scan"));
+        assert!(first > 0 && second > 0);
+
         let mut r = Repl::new();
         let mut out = String::new();
         r.handle(".trace on", &mut out);
-        r.handle(".trace spans on", &mut out);
         r.handle("x[..10]", &mut out);
         r.handle(".scenario scan", &mut out);
-        // Sticky enablement on the fresh tower...
-        assert!(r.span_context().is_enabled());
-        assert!(r.trace_handle().is_enabled());
-        // ...but the fresh tower starts with empty counters, rings, and
-        // histograms (no stale buckets from the old backend).
-        let t = r.trace_handle().snapshot();
-        assert_eq!(t.total_calls(), 0);
-        for o in &t.ops {
-            assert!(o.hist.iter().all(|&b| b == 0));
-        }
-        assert!(r.span_context().snapshot().spans.is_empty());
-        // Metrics deliberately persist (session-lifetime), and the
-        // watermark reset means the next command charges only its own
-        // traffic rather than a negative delta.
-        let before = r
-            .metrics()
-            .snapshot()
-            .counter("wire.get_bytes.calls")
-            .unwrap_or(0);
-        out.clear();
+        assert!(
+            r.trace_handle().is_enabled(),
+            "one switch, kept across the swap"
+        );
         r.handle("x[..10]", &mut out);
-        let after = r
-            .metrics()
-            .snapshot()
-            .counter("wire.get_bytes.calls")
-            .unwrap_or(0);
-        assert!(after >= before, "no negative wire deltas after a swap");
+
+        // `.trace`'s per-op calls cover both commands...
+        assert_eq!(traced_reads(&mut r), first + second);
+        // ...so does the span ring: both eval roots, and one wire span
+        // per traced call...
+        let snap = r.span_context().snapshot();
+        let roots = snap
+            .spans
+            .iter()
+            .filter(|s| s.kind == duel_target::SpanKind::Root);
+        assert_eq!(roots.count(), 2);
+        let t = r.trace_handle().snapshot();
+        assert_eq!(snap.wire().count() as u64, t.total_calls());
+        let reads = snap.wire().filter(|w| w.name == "get_bytes").count() as u64;
+        assert_eq!(reads, first + second);
+        // ...and so do the counters `.query` reads.
+        let counters = queried_counters(&mut r);
+        let get = |name: &str| counters.iter().find(|c| c.0 == name).map(|c| c.1);
+        assert_eq!(get("wire.get_bytes.calls"), Some(first + second));
+        assert_eq!(get("eval.commands"), Some(2));
+
+        // `.trace clear` resets all of them together.
+        r.handle(".trace clear", &mut out);
+        assert_eq!(traced_reads(&mut r), 0);
+        assert!(r.span_context().snapshot().is_empty());
+        assert!(queried_counters(&mut r).is_empty());
     }
 
     #[test]
@@ -2456,8 +2399,8 @@ mod tests {
         let mut r = Repl::new();
         let mut out = String::new();
         r.handle("x[..3]", &mut out);
-        assert_eq!(r.last_stats.trace_id, 0, "no trace id while spans are off");
-        r.handle(".trace spans on", &mut out);
+        assert_eq!(r.last_stats.trace_id, 0, "no trace id while tracing is off");
+        r.handle(".trace on", &mut out);
         r.handle("x[..3]", &mut out);
         let first = r.last_stats.trace_id;
         assert!(first >= 1, "span-traced evals get a trace id");

@@ -24,14 +24,8 @@ fn main() {
         }
     };
     let mut repl = Repl::with_config(parsed.options, parsed.cache);
-    if parsed.trace_json.is_some() {
+    if parsed.trace_json.is_some() || parsed.trace_perfetto.is_some() {
         repl.set_tracing(true);
-    }
-    if parsed.trace_perfetto.is_some() {
-        // Perfetto export needs both the wire events and the causal
-        // span tree, so it implies both kinds of tracing.
-        repl.set_tracing(true);
-        repl.set_span_tracing(true);
     }
     if let Some(n) = parsed.trace_buf {
         repl.set_trace_buf(n);

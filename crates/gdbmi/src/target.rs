@@ -1161,10 +1161,16 @@ mod tests {
         t.get_bytes(x.addr, &mut buf).unwrap();
         outer.pop(root);
         let snap = outer.snapshot();
-        let events = t.inner().inner().inner().handle().recent_events(usize::MAX);
-        assert!(!events.is_empty());
-        let (ok, total) = duel_target::attribution_coverage(&snap, &events);
-        assert_eq!(ok, total, "every wire event must chain to the eval root");
+        // Both layers record into the one ring: a wire span per call
+        // the session layer saw, plus one per call that reached MI.
+        let wire_calls = t.inner().inner().inner().handle().snapshot().total_calls();
+        assert!(wire_calls > 0);
+        let (ok, total) = duel_target::attribution_coverage(&snap);
+        assert_eq!(
+            total as u64,
+            t.handle().snapshot().total_calls() + wire_calls
+        );
+        assert_eq!(ok, total, "every wire span must chain to the eval root");
     }
 
     #[test]

@@ -36,6 +36,7 @@ use crate::error::TargetResult;
 use crate::iface::{OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target};
 use crate::layer::{Op, Reply};
 use crate::span::{SpanContext, SpanKind};
+use crate::trace::TraceOp;
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -980,16 +981,22 @@ impl<T: Target> crate::Layer for CachedTarget<T> {
         // or on the I/O actor), so no outer trace decorator saw it as a
         // `get_bytes_multi`. This is the one place that still holds the
         // per-page outcomes, so the completed window is recorded here as
-        // the same `multi_read` parent span + per-range children a
-        // direct vectored call would have produced.
-        let wire_span = match &self.spans {
-            Some(s) if planned > 0 => {
-                let declared: u64 = done.iter().map(|(o, _)| o.buf.len() as u64).sum();
-                s.push(SpanKind::Wire, "multi_read", || {
-                    format!("{planned} ranges, {declared}b")
-                })
+        // the same `multi_read` wire span + per-range children a direct
+        // vectored call produces, with the latency (`wait_ns`) a trace
+        // layer above charges its counters for it.
+        let window = match &self.spans {
+            Some(s) if planned > 0 && s.is_enabled() => {
+                let start = s.now_ns().saturating_sub(wait_ns);
+                let declared: usize = done.iter().map(|(o, _)| o.buf.len()).sum();
+                let span = s.push_at(
+                    SpanKind::Wire,
+                    TraceOp::MultiRead.name(),
+                    || format!("{planned} ranges, {declared}b"),
+                    start,
+                );
+                Some((span, start))
             }
-            _ => 0,
+            _ => None,
         };
         // Discard (don't apply) a window submitted before the last page
         // drop: its bytes predate the invalidation.
@@ -999,13 +1006,11 @@ impl<T: Target> crate::Layer for CachedTarget<T> {
         let mut transient = 0u64;
         for (i, (o, r)) in done.into_iter().enumerate() {
             self.pending_pages.remove(&o.addr);
-            if wire_span != 0 {
-                if let Some(s) = &self.spans {
-                    let (addr, len, ok) = (o.addr, o.buf.len(), r.is_ok());
-                    s.instant(SpanKind::Range, "range", || {
-                        format!("{addr:#x}+{len} {}", if ok { "ok" } else { "failed" })
-                    });
-                }
+            if let (Some(s), Some(_)) = (&self.spans, window) {
+                let (addr, len, ok) = (o.addr, o.buf.len(), r.is_ok());
+                s.instant(SpanKind::Range, "range", || {
+                    format!("{addr:#x}+{len} {}", if ok { "ok" } else { "failed" })
+                });
             }
             match r {
                 Ok(()) => {
@@ -1030,21 +1035,7 @@ impl<T: Target> crate::Layer for CachedTarget<T> {
                 }
             }
         }
-        if wire_span != 0 {
-            if let Some(s) = &self.spans {
-                s.pop(wire_span);
-            }
-        }
-        if let Some(s) = &self.spans {
-            s.instant(SpanKind::Prefetch, "window-apply", || {
-                format!(
-                    "{clean} clean, {} failed{}",
-                    failed_pages.len(),
-                    if stale { ", stale" } else { "" }
-                )
-            });
-        }
-        Some(PrefetchCompletion {
+        let done = PrefetchCompletion {
             ranges: planned,
             clean,
             failed_pages,
@@ -1053,7 +1044,20 @@ impl<T: Target> crate::Layer for CachedTarget<T> {
             wait_ns,
             overlap_ns,
             was_async,
-        })
+        };
+        if let Some(s) = &self.spans {
+            if let Some((span, start)) = window {
+                s.finish(span, start + wait_ns, done.outcome());
+            }
+            s.instant(SpanKind::Prefetch, "window-apply", || {
+                format!(
+                    "{clean} clean, {} failed{}",
+                    done.failed_pages.len(),
+                    if stale { ", stale" } else { "" }
+                )
+            });
+        }
+        Some(done)
     }
 
     fn cache_page_size(&self) -> Option<u64> {

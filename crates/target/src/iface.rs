@@ -187,6 +187,20 @@ pub struct PrefetchCompletion {
     pub was_async: bool,
 }
 
+impl PrefetchCompletion {
+    /// The window's outcome as one wire call: transient if any page
+    /// failed transiently, else a fault if any page failed.
+    pub fn outcome(&self) -> crate::TraceOutcome {
+        if self.transient > 0 {
+            crate::TraceOutcome::Transient
+        } else if !self.failed_pages.is_empty() {
+            crate::TraceOutcome::Fault
+        } else {
+            crate::TraceOutcome::Ok
+        }
+    }
+}
+
 /// The debugger-target interface.
 ///
 /// Memory access and function calls return [`TargetResult`] so that

@@ -32,12 +32,13 @@
 //!   that coalesces adjacent reads into aligned page fetches, so
 //!   element-at-a-time traversals stop paying one backend round-trip
 //!   per element.
-//! * [`TraceTarget`] — wire-level observability: per-op counters,
-//!   latency histograms, and a bounded event ring, insertable at any
-//!   level of the tower and free when disabled.
+//! * [`TraceTarget`] — wire-level observability: per-op counters and
+//!   latency histograms, plus one wire span per call on the span
+//!   timeline, insertable at any level of the tower and free when
+//!   disabled.
 //! * [`span`] — causal span tracing: one [`SpanContext`] per tower,
 //!   installed top-down through [`Target::set_span_context`], so every
-//!   retry, cache fill, breaker trip and wire event is attributed to
+//!   retry, cache fill, breaker trip and wire call is attributed to
 //!   the evaluator node that caused it; exports Perfetto JSON and
 //!   folded flamegraph stacks.
 //! * [`metrics`] — an always-on, lock-free registry of named counters
@@ -101,4 +102,4 @@ pub use supervise::{
     probe_read, CircuitState, ProbeReconnect, Reconnect, ResyncReport, StalenessHandle,
     SupervisedTarget, SupervisorConfig, SupervisorStats, DEFAULT_PROBE_ADDR,
 };
-pub use trace::{TraceEvent, TraceHandle, TraceOp, TraceOutcome, TraceStats, TraceTarget};
+pub use trace::{TraceHandle, TraceOp, TraceOutcome, TraceStats, TraceTarget};

@@ -5,9 +5,9 @@
 //! fixed debugger commands — yet our own observability surface
 //! (`.top`, `.stats`, `.trace dump`) is exactly such a zoo. This
 //! module closes the loop: [`MetaSnapshot`] freezes every telemetry
-//! source the tower publishes (the span ring, the wire-event ring, the
-//! metrics registry, cache/retry/supervision counters, the replayed
-//! capture header), and [`MetaTarget`] materializes that snapshot as
+//! source the tower publishes (the span ring with its wire spans, the
+//! metrics, cache/retry/supervision counters, the replayed capture
+//! header), and [`MetaTarget`] materializes that snapshot as
 //! an ordinary [`Target`] — a synthetic C type table plus a little-
 //! endian arena served through `get_bytes` — so **every DUEL operator
 //! works on it unchanged**: generators, filters, reductions, sorts,
@@ -18,7 +18,7 @@
 //! | symbol     | type                        | contents                         |
 //! |------------|-----------------------------|----------------------------------|
 //! | `spans`    | `struct duel_span[nspans]`  | span ring, completed then open   |
-//! | `events`   | `struct duel_wire_event[nevents]` | wire-event ring            |
+//! | `events`   | `struct duel_wire_event[nevents]` | the ring's wire spans      |
 //! | `counters` | `struct duel_counter[ncounters]` | registry counters, by name  |
 //! | `hists`    | `struct duel_hist[nhists]`  | registry log₂ histograms         |
 //! | `cache`    | `struct duel_cache`         | page cache + lookup memo stats   |
@@ -27,6 +27,10 @@
 //!
 //! `nspans`/`nevents`/`ncounters`/`nhists` are `unsigned long long`
 //! globals, so `spans[..nspans].name` needs no out-of-band count.
+//!
+//! `events` is a view of the span ring, not a second record: one entry
+//! per completed `wire` span, with its span ID as `seq`, its causing
+//! (parent) span as `span` and its duration as `lat_ns`.
 //!
 //! The snapshot is a *copy*: querying it can perturb neither the
 //! debuggee nor the live telemetry it was taken from.
@@ -38,11 +42,10 @@ use duel_ctype::{Abi, EnumId, Field, Prim, RecordId, RecordLayout, TypeId, TypeT
 use crate::cache::CacheStats;
 use crate::error::{TargetError, TargetResult};
 use crate::iface::{CallValue, FrameInfo, Target, VarInfo, VarKind};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{bucket_quantile, MetricsSnapshot};
 use crate::retry::RetryStats;
 use crate::span::SpanSnapshot;
 use crate::supervise::{CircuitState, SupervisorStats};
-use crate::trace::TraceEvent;
 
 /// Base address of the synthetic telemetry arena (same convention as
 /// the simulated debuggee: NULL and small integers stay unmapped).
@@ -68,11 +71,10 @@ pub struct MetaCapture {
 /// never blocks the hot path for more than the rings' own locks.
 #[derive(Clone, Debug)]
 pub struct MetaSnapshot {
-    /// The causal span ring (completed + open spans).
+    /// The causal span ring (completed + open spans), wire spans
+    /// included.
     pub spans: SpanSnapshot,
-    /// The wire-event ring, oldest first.
-    pub events: Vec<TraceEvent>,
-    /// The always-on metrics registry (counters + log₂ histograms).
+    /// The session's metrics (counters + log₂ histograms).
     pub metrics: MetricsSnapshot,
     /// Page-cache and lookup-memoization counters.
     pub cache: CacheStats,
@@ -92,7 +94,6 @@ impl Default for MetaSnapshot {
     fn default() -> MetaSnapshot {
         MetaSnapshot {
             spans: SpanSnapshot::default(),
-            events: Vec::new(),
             metrics: MetricsSnapshot::default(),
             cache: CacheStats::default(),
             resident_pages: 0,
@@ -124,25 +125,6 @@ pub fn parse_addr_len(detail: &str) -> (u64, u64) {
         None => (rest, 0),
     };
     (u64::from_str_radix(hex, 16).unwrap_or(0), len)
-}
-
-/// Upper bound of the bucket holding the `q`-quantile sample of a log₂
-/// histogram (same semantics as `Histogram::quantile`, but over a
-/// frozen bucket vector).
-pub fn bucket_quantile(buckets: &[u64], q: f64) -> u64 {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return 1u64 << (i + 1).min(63);
-        }
-    }
-    u64::MAX
 }
 
 /// One synthesized struct: its type, record id, and computed layout.
@@ -393,8 +375,9 @@ impl MetaTarget {
             .map(|s| (s, false))
             .chain(snap.spans.open.iter().map(|s| (s, true)))
             .collect();
+        let events: Vec<&crate::span::SpanRecord> = snap.spans.wire().collect();
         let nspans = all_spans.len() as u64;
-        let nevents = snap.events.len() as u64;
+        let nevents = events.len() as u64;
         let ncounters = snap.metrics.counters.len() as u64;
         let nhists = snap.metrics.histograms.len() as u64;
 
@@ -447,10 +430,8 @@ impl MetaTarget {
             }
         }
         let mut span_reads: HashMap<u64, u64> = HashMap::new();
-        for e in &snap.events {
-            if e.span != 0 {
-                *span_reads.entry(e.span).or_insert(0) += 1;
-            }
+        for e in &events {
+            *span_reads.entry(e.parent).or_insert(0) += 1;
         }
         for (i, (s, open)) in all_spans.iter().enumerate() {
             let base = at(spans_addr) + i * span_def.size() as usize;
@@ -470,20 +451,20 @@ impl MetaTarget {
         }
 
         // ----- encode events ------------------------------------------
-        for (i, e) in snap.events.iter().enumerate() {
+        for (i, e) in events.iter().enumerate() {
             let base = at(events_addr) + i * event_def.size() as usize;
             let (addr, len) = parse_addr_len(&e.detail);
             let mut w = FieldWriter::new(&mut mem, base, &event_def);
-            w.u64(e.seq);
-            w.u64(e.op.index() as u64);
+            w.u64(e.id);
+            w.u64(e.op().map_or(0, |op| op.index() as u64));
             w.u64(e.outcome.index() as u64);
             w.u64(addr);
             w.u64(len);
-            w.u64(e.nanos);
-            w.u64(e.ts_ns);
+            w.u64(e.dur_ns);
+            w.u64(e.start_ns);
             w.u64(e.trace);
-            w.u64(e.span);
-            w.str(OP_CAP, e.op.name());
+            w.u64(e.parent);
+            w.str(OP_CAP, e.name);
             w.str(OUTCOME_CAP, e.outcome.name());
             w.str(DETAIL_CAP, &e.detail);
         }
@@ -720,6 +701,7 @@ mod tests {
             detail: "x[..4]".into(),
             start_ns: 0,
             dur_ns: 1000,
+            outcome: TraceOutcome::Ok,
         };
         let node = SpanRecord {
             trace: 1,
@@ -730,22 +712,24 @@ mod tests {
             detail: "x[i]".into(),
             start_ns: 100,
             dur_ns: 400,
+            outcome: TraceOutcome::Ok,
+        };
+        let read = SpanRecord {
+            trace: 1,
+            id: 3,
+            parent: 2,
+            kind: SpanKind::Wire,
+            name: TraceOp::GetBytes.name(),
+            detail: "0x1040+16".into(),
+            start_ns: 120,
+            dur_ns: 250,
+            outcome: TraceOutcome::Ok,
         };
         let snap = SpanSnapshot {
-            spans: vec![root, node],
+            spans: vec![read, node, root],
             open: Vec::new(),
             dropped: 0,
         };
-        let events = vec![TraceEvent {
-            seq: 1,
-            op: TraceOp::GetBytes,
-            detail: "0x1040+16".into(),
-            outcome: TraceOutcome::Ok,
-            nanos: 250,
-            ts_ns: 120,
-            trace: 1,
-            span: 2,
-        }];
         let mut metrics = MetricsSnapshot::default();
         metrics.counters.push(("eval.values".into(), 4));
         metrics
@@ -758,7 +742,6 @@ mod tests {
         };
         MetaSnapshot {
             spans: snap,
-            events,
             metrics,
             cache,
             resident_pages: 2,
@@ -797,7 +780,7 @@ mod tests {
             ]
         );
         let nspans = t.get_variable("nspans").unwrap();
-        assert_eq!(read_u64(&mut t, nspans.addr), 2);
+        assert_eq!(read_u64(&mut t, nspans.addr), 3);
         let nevents = t.get_variable("nevents").unwrap();
         assert_eq!(read_u64(&mut t, nevents.addr), 1);
     }
@@ -810,7 +793,8 @@ mod tests {
         let rid = t.lookup_struct("duel_span").unwrap();
         let layout = t.types().record_layout(rid, &Abi::lp64()).unwrap();
         let rec = t.types().record(rid).clone();
-        // Row 0 is the root; row 1 the node under it.
+        // Rows follow completion order: the wire span, the node it
+        // belongs to, then the root.
         let node = &snap.spans.spans[1];
         assert_eq!(node.kind, SpanKind::Node);
         let node_base = spans.addr + layout.size;
@@ -820,11 +804,27 @@ mod tests {
         };
         assert_eq!(field(&mut t, "id"), node.id);
         assert_eq!(field(&mut t, "dur_ns"), node.dur_ns);
-        assert_eq!(field(&mut t, "self_ns"), node.dur_ns); // leaf: no children
-        assert_eq!(field(&mut t, "reads"), 1); // the one attributed event
-                                               // Root row: exclusive time = 1000 - 400.
+        // Exclusive time: 400 - the 250 ns wire child.
+        assert_eq!(field(&mut t, "self_ns"), 150);
+        assert_eq!(field(&mut t, "reads"), 1); // the one wire child
         let i = rec.field_index("self_ns").unwrap();
-        assert_eq!(read_u64(&mut t, spans.addr + layout.fields[i].offset), 600);
+        // Root row: exclusive time = 1000 - 400.
+        let root_base = spans.addr + 2 * layout.size;
+        assert_eq!(read_u64(&mut t, root_base + layout.fields[i].offset), 600);
+        // The event row is the wire span, seen from its call's side.
+        let events = t.get_variable("events").unwrap();
+        let eid = t.lookup_struct("duel_wire_event").unwrap();
+        let elayout = t.types().record_layout(eid, &Abi::lp64()).unwrap();
+        let erec = t.types().record(eid).clone();
+        let mut efield = |name: &str| {
+            let i = erec.field_index(name).unwrap();
+            read_u64(&mut t, events.addr + elayout.fields[i].offset)
+        };
+        assert_eq!(efield("seq"), 3);
+        assert_eq!(efield("span"), node.id);
+        assert_eq!(efield("lat_ns"), 250);
+        assert_eq!(efield("addr"), 0x1040);
+        assert_eq!(efield("op_code"), TraceOp::GetBytes.index() as u64);
         // The name char array is NUL-terminated.
         let i = rec.field_index("name").unwrap();
         let mut buf = [0u8; NAME_CAP];

@@ -6,8 +6,9 @@
 //! atomics, so the **hot path — bumping a counter or observing a
 //! histogram sample — is a single `fetch_add`**, lock-free and safe to
 //! leave enabled permanently. The REPL keeps one registry per session
-//! (it survives backend swaps, unlike the per-tower [`crate::TraceHandle`])
-//! and renders it with `.top`.
+//! for its evaluator counters and renders it with `.top`, next to the
+//! `wire.<op>.*` counters it reads straight from its session
+//! [`crate::TraceHandle`] ([`MetricsSnapshot::with_counters`]).
 //!
 //! [`MetricsRegistry::snapshot`] returns a point-in-time, name-sorted
 //! copy for rendering or JSON export; it never blocks writers for more
@@ -20,6 +21,24 @@ use std::sync::{Arc, Mutex};
 /// Buckets in a [`Histogram`]: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` (bucket 0 also holds zero).
 pub const METRIC_HIST_BUCKETS: usize = 64;
+
+/// Upper bound of the bucket holding the `q`-quantile sample of a
+/// frozen log₂ histogram (`q` in `[0,1]`; 0 for an empty one).
+pub fn bucket_quantile(buckets: &[u64], q: f64) -> u64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
+    let mut seen = 0u64;
+    for (i, n) in buckets.iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            return 1u64 << (i + 1).min(63);
+        }
+    }
+    u64::MAX
+}
 
 /// A monotonic counter handle. Cloning shares the underlying cell.
 #[derive(Clone, Debug, Default)]
@@ -72,20 +91,7 @@ impl Histogram {
     /// Upper bound of the bucket holding the `q`-quantile sample
     /// (`q` in `[0, 1]`; 0 when empty).
     pub fn quantile(&self, q: f64) -> u64 {
-        let buckets = self.buckets();
-        let total: u64 = buckets.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, n) in buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        u64::MAX
+        bucket_quantile(&self.buckets(), q)
     }
 }
 
@@ -186,6 +192,14 @@ impl MetricsSnapshot {
             .binary_search_by(|(k, _)| k.as_str().cmp(name))
             .ok()
             .map(|i| self.counters[i].1)
+    }
+
+    /// Adds counters kept outside the registry — a trace handle's
+    /// per-op wire totals — keeping the counters sorted by name.
+    pub fn with_counters(mut self, counters: Vec<(String, u64)>) -> MetricsSnapshot {
+        self.counters.extend(counters);
+        self.counters.sort();
+        self
     }
 
     /// Renders the snapshot's metrics as JSON object members (no

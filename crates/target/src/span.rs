@@ -1,38 +1,49 @@
-//! Causal span tracing across the decorator tower.
+//! Causal span tracing across the decorator tower — the session's one
+//! wire timeline.
 //!
-//! A [`SpanContext`] is one shared timeline for a whole tower: the
-//! evaluator opens a *root* span per evaluation (one trace ID each),
-//! every AST node it enters opens a *node* span, and the decorators
-//! below (retry, cache, supervise, trace) open child spans or instant
-//! markers for the work they do on behalf of the node above. Because
-//! the context is pushed down through [`crate::Target::set_span_context`]
-//! at tower-construction time, a `retry` span recorded three layers
-//! below the evaluator still knows exactly which AST node caused it —
-//! its parent is whatever span was current when it opened.
+//! A [`SpanContext`] is one shared timeline: the evaluator opens a
+//! *root* span per evaluation (one trace ID each), every AST node it
+//! enters opens a *node* span, and the decorators below (retry, cache,
+//! supervise, trace) open child spans or instant markers for the work
+//! they do on behalf of the node above. Because the context is pushed
+//! down through [`crate::Target::set_span_context`] when a tower is
+//! built, a `retry` span recorded three layers below the evaluator
+//! still knows exactly which AST node caused it — its parent is
+//! whatever span was current when it opened.
+//!
+//! Wire calls live here too: a [`crate::TraceTarget`] records each
+//! traced call once, as a [`SpanKind::Wire`] span named after its op,
+//! open for the duration of the call (so the cache fills, retry
+//! episodes and inner wire calls it causes nest under it) and closed
+//! by [`SpanContext::finish`] with the call's outcome and the latency
+//! its per-op counters were charged. There is no second event ring:
+//! `.trace dump`, the `events` meta root and the exports below all
+//! read the wire spans of this ring.
 //!
 //! The data model is deliberately tiny: a bounded ring of completed
 //! [`SpanRecord`]s plus a stack of open spans. Everything else —
 //! Chrome trace-event JSON for Perfetto ([`chrome_trace_json`]),
 //! folded-stacks flamegraph text ([`folded_stacks`]), the `.top`
-//! aggregation ([`SpanSnapshot::aggregate`]) — is derived from that
-//! ring after the fact.
+//! aggregation ([`SpanSnapshot::aggregate`]), attribution coverage
+//! ([`attribution_coverage`]) — is derived from that ring after the
+//! fact.
 //!
 //! **Disabled spans are free.** Every entry point checks one relaxed
 //! atomic load first; no lock is taken, no clock is read, no string is
 //! built. The E15 bench asserts the disabled overhead stays under 5%.
 //!
 //! Memory cost: one completed span is a [`SpanRecord`] — five `u64`s,
-//! a kind, a static name and a short detail string, ~100–140 bytes
-//! with the ring's own overhead. The default ring keeps
+//! a kind, an outcome, a static name and a short detail string,
+//! ~100–140 bytes with the ring's own overhead. The default ring keeps
 //! [`DEFAULT_SPAN_CAPACITY`] records (~1 MiB worst case); `.set
-//! trace_buf N` resizes it together with the event ring.
+//! trace_buf N` resizes it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::trace::{TraceEvent, TraceOutcome};
+use crate::trace::{TraceOp, TraceOutcome};
 
 /// Default bound on completed spans kept for export.
 pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
@@ -46,9 +57,10 @@ pub enum SpanKind {
     Node,
     /// Value rendering (the `(display)` pseudo-node).
     Display,
-    /// A wire-level operation span (e.g. one vectored read).
+    /// One traced wire call, named after its op and closed with its
+    /// outcome ([`SpanContext::finish`]).
     Wire,
-    /// One per-range child of a vectored read.
+    /// One per-range child of a vectored read's wire span.
     Range,
     /// A retry layer span: one logical operation's retry episode.
     Retry,
@@ -112,11 +124,22 @@ pub struct SpanRecord {
     pub detail: String,
     /// Start, nanoseconds since the context epoch.
     pub start_ns: u64,
-    /// Duration in nanoseconds (0 for instant markers).
+    /// Duration in nanoseconds (0 for instant markers). For a wire
+    /// span, the latency charged to the trace handle's counters.
     pub dur_ns: u64,
+    /// How a wire span's call ended (`Ok` for every other kind).
+    pub outcome: TraceOutcome,
 }
 
 impl SpanRecord {
+    /// The traced op of a wire span (`None` for every other kind).
+    pub fn op(&self) -> Option<TraceOp> {
+        match self.kind {
+            SpanKind::Wire => TraceOp::from_name(self.name),
+            _ => None,
+        }
+    }
+
     /// One folded-stack frame for this span (no `;`, which is the
     /// frame separator).
     fn frame(&self) -> String {
@@ -144,6 +167,17 @@ struct SpanInner {
     ring: VecDeque<SpanRecord>,
     capacity: usize,
     dropped: u64,
+}
+
+impl SpanInner {
+    /// Appends a completed span, evicting the oldest at capacity.
+    fn keep(&mut self, rec: SpanRecord) {
+        if self.ring.len() >= self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+        self.ring.push_back(rec);
+    }
 }
 
 struct SpanShared {
@@ -312,11 +346,24 @@ impl SpanContext {
     /// closed too — a defensive unwind so one missed pop cannot skew
     /// the whole stack.
     pub fn pop(&self, id: u64) {
+        if id != 0 {
+            self.finish(id, self.now_ns(), TraceOutcome::Ok);
+        }
+    }
+
+    /// [`SpanContext::pop`] with an explicit end time and outcome: how
+    /// a wire span closes with exactly the latency and outcome its call
+    /// was charged, and how a timeline rebuilt offline closes its root.
+    /// No-op for 0.
+    pub fn finish(&self, id: u64, end_ns: u64, outcome: TraceOutcome) {
         if id == 0 {
             return;
         }
-        let now = self.now_ns();
-        let mut inner = self.0.inner.lock().unwrap();
+        let mut inner = self
+            .0
+            .inner
+            .lock()
+            .expect("span ring lock poisoned by a panicking recorder");
         let Some(pos) = inner.stack.iter().rposition(|s| s.id == id) else {
             return;
         };
@@ -330,13 +377,14 @@ impl SpanContext {
                 name: s.name,
                 detail: s.detail,
                 start_ns: s.start_ns,
-                dur_ns: now.saturating_sub(s.start_ns),
+                dur_ns: end_ns.saturating_sub(s.start_ns),
+                outcome: if s.id == id {
+                    outcome
+                } else {
+                    TraceOutcome::Ok
+                },
             };
-            if inner.ring.len() >= inner.capacity {
-                inner.ring.pop_front();
-                inner.dropped += 1;
-            }
-            inner.ring.push_back(rec);
+            inner.keep(rec);
         }
         let top = inner.stack.last().map_or(0, |s| s.id);
         self.0.current.store(top, Ordering::Relaxed);
@@ -377,13 +425,9 @@ impl SpanContext {
             detail: detail(),
             start_ns,
             dur_ns,
+            outcome: TraceOutcome::Ok,
         };
-        let mut inner = self.0.inner.lock().unwrap();
-        if inner.ring.len() >= inner.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(rec);
+        self.0.inner.lock().unwrap().keep(rec);
         id
     }
 
@@ -407,6 +451,7 @@ impl SpanContext {
                     detail: s.detail.clone(),
                     start_ns: s.start_ns,
                     dur_ns: now.saturating_sub(s.start_ns),
+                    outcome: TraceOutcome::Ok,
                 })
                 .collect(),
             dropped: inner.dropped,
@@ -435,6 +480,12 @@ impl SpanSnapshot {
     /// Whether the snapshot holds no spans at all.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty() && self.open.is_empty()
+    }
+
+    /// The completed wire spans, oldest first — the session's record
+    /// of traced wire calls.
+    pub fn wire(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.spans.iter().filter(|s| s.kind == SpanKind::Wire)
     }
 
     /// Finds a span by ID (completed or still open).
@@ -541,13 +592,13 @@ fn us(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1000.0)
 }
 
-/// Renders a span snapshot (plus the wire events attributed into it)
-/// as Chrome trace-event JSON, loadable by Perfetto / `chrome://tracing`.
+/// Renders a span snapshot as Chrome trace-event JSON, loadable by
+/// Perfetto / `chrome://tracing`.
 ///
-/// Spans become `"X"` complete events (`cat` = span kind); each trace
-/// event becomes a zero-or-latency-wide `"X"` event under `cat:
-/// "wire-event"`, carrying its span/trace attribution in `args`.
-pub fn chrome_trace_json(snap: &SpanSnapshot, events: &[TraceEvent]) -> String {
+/// Spans become `"X"` complete events (`cat` = span kind); wire spans
+/// go under `cat: "wire-event"` with their causing span (the parent)
+/// in `args.span` and their own ID in `args.seq`.
+pub fn chrome_trace_json(snap: &SpanSnapshot) -> String {
     let mut out = String::from(
         "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
          {\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\
@@ -556,33 +607,32 @@ pub fn chrome_trace_json(snap: &SpanSnapshot, events: &[TraceEvent]) -> String {
          \"args\":{\"name\":\"eval\"}}",
     );
     for s in snap.spans.iter().chain(&snap.open) {
+        let (cat, args) = match s.kind {
+            SpanKind::Wire => (
+                "wire-event",
+                format!(
+                    "\"seq\":{},\"span\":{},\"trace\":{},\"outcome\":\"{}\"",
+                    s.id,
+                    s.parent,
+                    s.trace,
+                    s.outcome.name()
+                ),
+            ),
+            kind => (
+                kind.name(),
+                format!(
+                    "\"span\":{},\"parent\":{},\"trace\":{}",
+                    s.id, s.parent, s.trace
+                ),
+            ),
+        };
         out.push_str(&format!(
-            ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"{}\",\"cat\":\"{}\",\
-             \"ts\":{},\"dur\":{},\"args\":{{\"span\":{},\"parent\":{},\"trace\":{},\
-             \"detail\":\"{}\"}}}}",
+            ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"{}\",\"cat\":\"{cat}\",\
+             \"ts\":{},\"dur\":{},\"args\":{{{args},\"detail\":\"{}\"}}}}",
             esc(s.name),
-            s.kind.name(),
             us(s.start_ns),
             us(s.dur_ns),
-            s.id,
-            s.parent,
-            s.trace,
             esc(&s.detail),
-        ));
-    }
-    for e in events {
-        out.push_str(&format!(
-            ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"{}\",\"cat\":\"wire-event\",\
-             \"ts\":{},\"dur\":{},\"args\":{{\"seq\":{},\"span\":{},\"trace\":{},\
-             \"outcome\":\"{}\",\"detail\":\"{}\"}}}}",
-            e.op.name(),
-            us(e.ts_ns),
-            us(e.nanos),
-            e.seq,
-            e.span,
-            e.trace,
-            e.outcome.name(),
-            esc(&e.detail),
         ));
     }
     out.push_str("\n]}");
@@ -594,41 +644,31 @@ pub fn chrome_trace_json(snap: &SpanSnapshot, events: &[TraceEvent]) -> String {
 pub enum FlameWeight {
     /// Observed wire latency in nanoseconds.
     WireNs,
-    /// Backend calls (one per traced event).
+    /// Backend calls (one per wire span).
     WireReads,
 }
 
-/// Renders wire events as folded flamegraph stacks: one line per
+/// Renders wire spans as folded flamegraph stacks: one line per
 /// distinct span path, `frame;frame;...;op weight`, suitable for
 /// `flamegraph.pl` / speedscope / inferno.
 ///
-/// Events whose ancestor chain is broken (parent spans evicted from
-/// the ring, or spans disabled) fold under a `(detached)` root so the
-/// weights still sum to the whole session.
-pub fn folded_stacks(snap: &SpanSnapshot, events: &[TraceEvent], weight: FlameWeight) -> String {
+/// Wire spans whose ancestor chain is broken (a parent evicted from
+/// the ring) or absent fold under a `(detached)` root so the weights
+/// still sum to the whole session.
+pub fn folded_stacks(snap: &SpanSnapshot, weight: FlameWeight) -> String {
     use std::collections::BTreeMap;
     let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
-    for e in events {
-        let mut frames: Vec<String> = Vec::new();
-        match snap.ancestry(e.span) {
-            Some(chain) if e.span != 0 => {
-                for s in chain {
-                    frames.push(s.frame());
-                }
-            }
-            _ => frames.push("(detached)".to_string()),
-        }
-        let leaf = if e.detail.is_empty() {
-            e.op.name().to_string()
-        } else {
-            format!("{} {}", e.op.name(), e.detail).replace(';', ",")
+    for w in snap.wire() {
+        let mut frames: Vec<String> = match snap.ancestry(w.parent) {
+            Some(chain) if w.parent != 0 => chain.iter().map(|s| s.frame()).collect(),
+            _ => vec!["(detached)".to_string()],
         };
-        frames.push(leaf);
-        let w = match weight {
-            FlameWeight::WireNs => e.nanos.max(1),
+        frames.push(w.frame());
+        let n = match weight {
+            FlameWeight::WireNs => w.dur_ns.max(1),
             FlameWeight::WireReads => 1,
         };
-        *stacks.entry(frames.join(";")).or_insert(0) += w;
+        *stacks.entry(frames.join(";")).or_insert(0) += n;
     }
     let mut out = String::new();
     for (stack, w) in stacks {
@@ -640,33 +680,26 @@ pub fn folded_stacks(snap: &SpanSnapshot, events: &[TraceEvent], weight: FlameWe
     out
 }
 
-/// Counts the traced wire events whose span chain resolves to a root
-/// span — the E15 acceptance metric ("100% of traced wire events carry
-/// a valid ancestor chain up to the eval root"). Returns
-/// `(attributed, total)` over events recorded with tracing on.
-pub fn attribution_coverage(snap: &SpanSnapshot, events: &[TraceEvent]) -> (usize, usize) {
-    let mut ok = 0;
-    for e in events {
-        if e.span != 0 {
-            if let Some(chain) = snap.ancestry(e.span) {
-                if chain.first().is_some_and(|r| r.kind == SpanKind::Root) {
-                    ok += 1;
-                }
-            }
+/// Counts the wire spans whose chain resolves to an eval root span —
+/// the E15 acceptance metric ("100% of traced wire calls carry a valid
+/// ancestor chain up to the eval root"). Returns `(attributed, total)`.
+pub fn attribution_coverage(snap: &SpanSnapshot) -> (usize, usize) {
+    let (mut ok, mut total) = (0, 0);
+    for w in snap.wire() {
+        total += 1;
+        if snap
+            .ancestry(w.id)
+            .is_some_and(|chain| chain[0].kind == SpanKind::Root)
+        {
+            ok += 1;
         }
     }
-    (ok, events.len())
-}
-
-#[allow(unused)]
-fn _outcome_is_reexported(o: TraceOutcome) -> &'static str {
-    o.name()
+    (ok, total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceOp;
 
     fn ctx() -> SpanContext {
         let c = SpanContext::new(64);
@@ -679,7 +712,7 @@ mod tests {
         // Regression: `.trace export` / `--trace-perfetto` on a ring
         // with no spans and no events must still write a valid
         // (metadata-only) Chrome trace document, not a truncated one.
-        let json = chrome_trace_json(&SpanSnapshot::default(), &[]);
+        let json = chrome_trace_json(&SpanSnapshot::default());
         let doc = crate::json::Json::parse(&json).expect("empty export must be valid JSON");
         let Some(crate::json::Json::Arr(events)) = doc.get("traceEvents") else {
             panic!("traceEvents array missing in {json}");
@@ -796,29 +829,52 @@ mod tests {
         assert_eq!(root_row.self_ns, 40); // 100 - 60
     }
 
+    /// Records one finished wire call under the current span.
+    fn read(c: &SpanContext, start: u64, nanos: u64) -> u64 {
+        let id = c.push_at(SpanKind::Wire, "get_bytes", || "0x1000+4".into(), start);
+        c.finish(id, start + nanos, TraceOutcome::Ok);
+        id
+    }
+
+    #[test]
+    fn finish_closes_with_the_given_latency_and_outcome() {
+        let c = ctx();
+        let node = c.push(SpanKind::Node, "index", String::new);
+        let wire = c.push_at(SpanKind::Wire, "get_bytes", String::new, 100);
+        let fill = c.push(SpanKind::Cache, "fill", String::new);
+        assert_eq!(c.current(), fill);
+        c.finish(wire, 350, TraceOutcome::Fault); // unwinds the fill too
+        assert_eq!(c.current(), node);
+        let s = c.snapshot();
+        let w = s.find(wire).unwrap();
+        assert_eq!(
+            (w.dur_ns, w.outcome, w.parent),
+            (250, TraceOutcome::Fault, node)
+        );
+        assert_eq!(w.op(), Some(TraceOp::GetBytes));
+        assert_eq!(s.find(fill).unwrap().outcome, TraceOutcome::Ok);
+        assert_eq!(s.find(fill).unwrap().parent, wire);
+    }
+
     #[test]
     fn chrome_export_is_json_with_span_args() {
         let c = ctx();
         c.begin_trace();
         let root = c.push(SpanKind::Root, "eval", || "x\"quote".into());
+        let wire = read(&c, 2000, 1500);
         c.pop(root);
-        let ev = TraceEvent {
-            seq: 0,
-            op: TraceOp::GetBytes,
-            detail: "0x1000+4".into(),
-            outcome: TraceOutcome::Ok,
-            nanos: 1500,
-            ts_ns: 2000,
-            trace: 1,
-            span: root,
-        };
-        let json = chrome_trace_json(&c.snapshot(), &[ev]);
+        let json = chrome_trace_json(&c.snapshot());
         let v = crate::json::Json::parse(&json).expect("export must be valid JSON");
         let events = v.get("traceEvents").and_then(|e| e.items()).unwrap();
-        assert!(events.len() >= 3, "metadata + span + wire event");
+        assert!(events.len() >= 4, "metadata + span + wire event");
         assert!(json.contains("\"cat\":\"root\""), "{json}");
         assert!(json.contains("\"cat\":\"wire-event\""), "{json}");
         assert!(json.contains("x\\\"quote"), "{json}");
+        // A wire event names its causing span, not itself.
+        assert!(
+            json.contains(&format!("\"seq\":{wire},\"span\":{root}")),
+            "{json}"
+        );
     }
 
     #[test]
@@ -826,24 +882,13 @@ mod tests {
         let c = ctx();
         c.begin_trace();
         let root = c.push(SpanKind::Root, "eval", || "x[..2]".into());
-        let node = c.push(SpanKind::Node, "index", || "x[i]".into());
-        let mk = |span: u64, nanos: u64| TraceEvent {
-            seq: 0,
-            op: TraceOp::GetBytes,
-            detail: "0x1000+4".into(),
-            outcome: TraceOutcome::Ok,
-            nanos,
-            ts_ns: 0,
-            trace: 1,
-            span,
-        };
+        let _node = c.push(SpanKind::Node, "index", || "x[i]".into());
+        read(&c, 0, 10);
+        read(&c, 0, 20);
         c.pop(root);
+        read(&c, 0, 7); // outside any span
         let snap = c.snapshot();
-        let folded = folded_stacks(
-            &snap,
-            &[mk(node, 10), mk(node, 20), mk(0, 7)],
-            FlameWeight::WireNs,
-        );
+        let folded = folded_stacks(&snap, FlameWeight::WireNs);
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 2, "{folded}");
         assert!(
@@ -854,8 +899,11 @@ mod tests {
             folded.contains("(detached);get_bytes 0x1000+4 7"),
             "{folded}"
         );
-        let by_reads = folded_stacks(&snap, &[mk(node, 10), mk(node, 20)], FlameWeight::WireReads);
-        assert!(by_reads.contains(" 2\n"), "{by_reads}");
+        let by_reads = folded_stacks(&snap, FlameWeight::WireReads);
+        assert!(
+            by_reads.contains("x[i];get_bytes 0x1000+4 2\n"),
+            "{by_reads}"
+        );
     }
 
     #[test]
@@ -863,20 +911,15 @@ mod tests {
         let c = ctx();
         c.begin_trace();
         let root = c.push(SpanKind::Root, "eval", String::new);
-        let node = c.push(SpanKind::Node, "index", String::new);
+        read(&c, 0, 1); // under the root
+        let _node = c.push(SpanKind::Node, "index", String::new);
+        let wire = c.push(SpanKind::Wire, "multi_read", String::new);
+        c.instant(SpanKind::Range, "range", String::new);
+        c.pop(wire); // under the node
         c.pop(root);
+        read(&c, 0, 1); // detached
         let snap = c.snapshot();
-        let mk = |span: u64| TraceEvent {
-            seq: 0,
-            op: TraceOp::GetBytes,
-            detail: String::new(),
-            outcome: TraceOutcome::Ok,
-            nanos: 1,
-            ts_ns: 0,
-            trace: 1,
-            span,
-        };
-        let (ok, total) = attribution_coverage(&snap, &[mk(node), mk(root), mk(0)]);
-        assert_eq!((ok, total), (2, 3));
+        assert_eq!(attribution_coverage(&snap), (2, 3));
+        assert_eq!(snap.wire().count(), 3, "range markers are not wire spans");
     }
 }

@@ -1,39 +1,46 @@
 //! [`TraceTarget`] — wire-level observability over the narrow interface.
 //!
 //! Every call that crosses [`Target`] is a potential debugger
-//! round-trip, and the decorator tower (`Retry(Cache(Fault(backend)))`)
-//! means "one evaluator read" and "one wire fetch" are different
-//! quantities at different levels. `TraceTarget` makes each level
-//! observable: insert it *above* the cache to see what the evaluator
-//! asks for, *below* the cache to see what actually reaches the
-//! backend, or both at once with distinct labels.
+//! round-trip, and in a decorator tower such as the REPL's
+//! `Trace(Supervise(Retry(Cache(Record(backend)))))` "one evaluator
+//! read" and "one wire fetch" are different quantities at different
+//! levels. `TraceTarget` makes each level observable: insert it
+//! *above* the cache to see what the evaluator asks for, *below* the
+//! cache to see what actually reaches the backend, or both at once with
+//! distinct labels.
 //!
 //! Recorded per call: the operation kind ([`TraceOp`]), a short detail
 //! (address + length, or the symbol asked for), the outcome
 //! ([`TraceOutcome`]: ok / fault / transient / not-found), and the
-//! latency. The data lands in three sinks shared through a cloneable
-//! [`TraceHandle`]:
+//! latency. The call lands in two places, with the same measured
+//! latency in both:
 //!
-//! * per-op counters (calls, errors, cumulative nanoseconds);
-//! * per-op log₂ latency histograms;
-//! * a bounded ring buffer of the most recent [`TraceEvent`]s.
+//! * the cloneable [`TraceHandle`]: per-op counters (calls, errors,
+//!   cumulative nanoseconds) and per-op log₂ latency histograms;
+//! * the tower's [`SpanContext`]: one closed `Wire` span under the
+//!   span that caused the call (see [`crate::span`]) — the only record
+//!   of individual calls; `.trace dump`, the `events` meta root and
+//!   the exports read it.
+//!
+//! A session that outlives its towers (the `duel` REPL swaps backends
+//! on `.scenario`/`.load`/`.replay`) builds every tower around one
+//! handle and one span context with [`TraceTarget::with_handles`], so
+//! its counters and its timeline span the swaps.
 //!
 //! **Disabled tracing is free.** The handle's flag is a single relaxed
-//! atomic load on the fast path; no counter is bumped, no event is
-//! allocated, no clock is read. The `duel` REPL leaves tracing off
+//! atomic load on the fast path; no counter is bumped, no span is
+//! recorded, no clock is read. The `duel` REPL leaves tracing off
 //! until `.trace on` (or transiently during `.profile`), and the E11
 //! bench asserts the disabled overhead is negligible.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 use crate::capture::CaptureCall;
 use crate::error::TargetResult;
 use crate::iface::{ReadRange, Target};
 use crate::layer::{Op, Reply};
-use crate::span::{SpanContext, SpanKind};
+use crate::span::{SpanContext, SpanKind, SpanSnapshot};
 
 /// The kind of a traced [`Target`] operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,18 +87,12 @@ impl TraceOp {
     /// Stable numeric code of the operation (its position in
     /// [`TRACE_OPS`]); also the `op_code` field of meta-image events.
     pub fn index(self) -> usize {
-        match self {
-            TraceOp::GetBytes => 0,
-            TraceOp::PutBytes => 1,
-            TraceOp::AllocSpace => 2,
-            TraceOp::CallFunc => 3,
-            TraceOp::GetVariable => 4,
-            TraceOp::LookupType => 5,
-            TraceOp::HasFunction => 6,
-            TraceOp::Frames => 7,
-            TraceOp::IsMapped => 8,
-            TraceOp::MultiRead => 9,
-        }
+        self as usize
+    }
+
+    /// The op named `name` (the inverse of [`TraceOp::name`]).
+    pub fn from_name(name: &str) -> Option<TraceOp> {
+        TRACE_OPS.into_iter().find(|op| op.name() == name)
     }
 
     /// The wire-level name of the operation.
@@ -115,9 +116,6 @@ const OP_COUNT: usize = TRACE_OPS.len();
 /// log₂ latency buckets: bucket `i` holds calls with latency in
 /// `[2^i, 2^(i+1))` ns (bucket 0 also holds sub-nanosecond readings).
 pub const HIST_BUCKETS: usize = 40;
-/// log₂ ranges-per-call buckets for vectored reads: bucket `i` holds
-/// `get_bytes_multi` calls carrying `[2^i, 2^(i+1))` ranges.
-pub const RANGE_BUCKETS: usize = 16;
 
 /// How a traced operation ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,55 +179,30 @@ impl TraceOutcome {
     /// Stable numeric code of the outcome (the `outcome_code` field of
     /// meta-image events; 0 = ok).
     pub fn index(self) -> usize {
-        match self {
-            TraceOutcome::Ok => 0,
-            TraceOutcome::Fault => 1,
-            TraceOutcome::Transient => 2,
-            TraceOutcome::NotFound => 3,
-        }
+        self as usize
     }
 }
 
-/// One recorded call, as kept in the ring buffer.
-#[derive(Clone, Debug)]
-pub struct TraceEvent {
-    /// Monotonic sequence number (global across the handle).
-    pub seq: u64,
-    /// The operation kind.
-    pub op: TraceOp,
-    /// Address/length or symbol detail, e.g. `0x1000+64` or `hash`.
-    pub detail: String,
-    /// How the call ended.
-    pub outcome: TraceOutcome,
-    /// Observed latency in nanoseconds.
-    pub nanos: u64,
-    /// Start time, nanoseconds since the tower's span-context epoch
-    /// (0 when spans were off at record time).
-    pub ts_ns: u64,
-    /// Trace (evaluation) ID the call belongs to, 0 if unattributed.
-    pub trace: u64,
-    /// Causing span ID (the innermost open span when the call was
-    /// recorded), 0 if unattributed.
-    pub span: u64,
-}
-
-impl TraceEvent {
-    /// Renders the event as `.trace dump` prints it. Attributed events
-    /// carry a trailing `span=N` marker.
-    pub fn render(&self) -> String {
-        let mut line = format!(
-            "#{:<6} {:<13} {:<24} {:<9} {}",
-            self.seq,
-            self.op.name(),
-            self.detail,
-            self.outcome.name(),
-            fmt_ns(self.nanos)
-        );
-        if self.span != 0 {
-            line.push_str(&format!("  span={}", self.span));
-        }
-        line
+/// Renders one wire call as `.trace dump` prints it: sequence number,
+/// op, detail, outcome and latency, plus a trailing `span=N` marker
+/// naming the causing span when there is one.
+pub fn dump_line(
+    seq: u64,
+    op: &str,
+    detail: &str,
+    outcome: TraceOutcome,
+    nanos: u64,
+    span: u64,
+) -> String {
+    let mut line = format!(
+        "#{seq:<6} {op:<13} {detail:<24} {:<9} {}",
+        outcome.name(),
+        fmt_ns(nanos)
+    );
+    if span != 0 {
+        line.push_str(&format!("  span={span}"));
     }
+    line
 }
 
 /// Formats a nanosecond count with a human unit.
@@ -243,26 +216,14 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-struct Ring {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
 struct TraceShared {
     enabled: AtomicBool,
-    seq: AtomicU64,
     /// `calls[op]`, `errors[op]`, `nanos[op]` — flat per-op counters.
     calls: Vec<AtomicU64>,
     errors: Vec<AtomicU64>,
     nanos: Vec<AtomicU64>,
     /// `hist[op * HIST_BUCKETS + bucket]` — log₂ latency histograms.
     hist: Vec<AtomicU64>,
-    /// Total ranges carried by `get_bytes_multi` calls.
-    multi_ranges: AtomicU64,
-    /// log₂ ranges-per-call histogram for vectored reads.
-    multi_hist: Vec<AtomicU64>,
-    ring: Mutex<Ring>,
 }
 
 /// Counter snapshot for one operation kind.
@@ -289,19 +250,7 @@ impl OpStats {
     /// Approximate latency quantile from the histogram: the upper bound
     /// of the bucket containing the `q`-quantile call (`q` in `[0,1]`).
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let total: u64 = self.hist.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, n) in self.hist.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        u64::MAX
+        crate::metrics::bucket_quantile(&self.hist, q)
     }
 }
 
@@ -310,15 +259,6 @@ impl OpStats {
 pub struct TraceStats {
     /// Per-op counters, in [`TRACE_OPS`] order.
     pub ops: Vec<OpStats>,
-    /// Events currently held in the ring buffer.
-    pub events_held: usize,
-    /// Events pushed out of the ring by newer ones.
-    pub events_dropped: u64,
-    /// Total ranges carried by vectored reads (`multi_read` calls).
-    pub multi_ranges: u64,
-    /// log₂ ranges-per-call histogram for vectored reads (see
-    /// [`RANGE_BUCKETS`]).
-    pub multi_ranges_hist: Vec<u64>,
 }
 
 impl TraceStats {
@@ -335,6 +275,23 @@ impl TraceStats {
     /// Counters for one op kind.
     pub fn op(&self, op: TraceOp) -> &OpStats {
         &self.ops[op.index()]
+    }
+
+    /// The per-op totals as `wire.<op>.{calls,errors,ns}` metric
+    /// counters — how `.top`, `.stats json` and the `counters` meta
+    /// root see wire traffic. Ops never called are left out, and
+    /// `errors` appears only when nonzero.
+    pub fn wire_counters(&self) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        for o in self.ops.iter().filter(|o| o.calls > 0) {
+            let name = o.op.name();
+            out.push((format!("wire.{name}.calls"), o.calls));
+            if o.errors > 0 {
+                out.push((format!("wire.{name}.errors"), o.errors));
+            }
+            out.push((format!("wire.{name}.ns"), o.total_ns));
+        }
+        out
     }
 }
 
@@ -354,25 +311,22 @@ impl std::fmt::Debug for TraceHandle {
     }
 }
 
+impl Default for TraceHandle {
+    fn default() -> TraceHandle {
+        TraceHandle::new()
+    }
+}
+
 impl TraceHandle {
-    /// Creates a handle with a ring buffer of `capacity` events,
-    /// tracing disabled.
-    pub fn new(capacity: usize) -> TraceHandle {
+    /// Creates a handle with zeroed counters, tracing disabled.
+    pub fn new() -> TraceHandle {
         let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
         TraceHandle(Arc::new(TraceShared {
             enabled: AtomicBool::new(false),
-            seq: AtomicU64::new(0),
             calls: zeros(OP_COUNT),
             errors: zeros(OP_COUNT),
             nanos: zeros(OP_COUNT),
             hist: zeros(OP_COUNT * HIST_BUCKETS),
-            multi_ranges: AtomicU64::new(0),
-            multi_hist: zeros(RANGE_BUCKETS),
-            ring: Mutex::new(Ring {
-                events: VecDeque::new(),
-                capacity: capacity.max(1),
-                dropped: 0,
-            }),
         }))
     }
 
@@ -381,31 +335,13 @@ impl TraceHandle {
         self.0.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off. Counters and events accumulated so
-    /// far are kept either way.
+    /// Turns recording on or off. Counters accumulated so far are kept
+    /// either way.
     pub fn set_enabled(&self, on: bool) {
         self.0.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Rebounds the event ring to `capacity`, evicting oldest events
-    /// if it now holds more than that. Each buffered event costs
-    /// roughly 100 bytes (five words plus its detail string), so the
-    /// default 4096-event ring is ~400 KiB at worst.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut ring = self.0.ring.lock().unwrap();
-        ring.capacity = capacity.max(1);
-        while ring.events.len() > ring.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-    }
-
-    /// The current event-ring bound.
-    pub fn capacity(&self) -> usize {
-        self.0.ring.lock().unwrap().capacity
-    }
-
-    /// Zeroes every counter and drops all buffered events.
+    /// Zeroes every counter and histogram.
     pub fn clear(&self) {
         for c in self
             .0
@@ -414,15 +350,9 @@ impl TraceHandle {
             .chain(&self.0.errors)
             .chain(&self.0.nanos)
             .chain(&self.0.hist)
-            .chain(&self.0.multi_hist)
         {
             c.store(0, Ordering::Relaxed);
         }
-        self.0.multi_ranges.store(0, Ordering::Relaxed);
-        self.0.seq.store(0, Ordering::Relaxed);
-        let mut ring = self.0.ring.lock().unwrap();
-        ring.events.clear();
-        ring.dropped = 0;
     }
 
     /// Memory reads recorded so far — the counter the evaluator diffs
@@ -453,28 +383,13 @@ impl TraceHandle {
                 }
             })
             .collect();
-        let ring = self.0.ring.lock().unwrap();
-        TraceStats {
-            ops,
-            events_held: ring.events.len(),
-            events_dropped: ring.dropped,
-            multi_ranges: self.0.multi_ranges.load(Ordering::Relaxed),
-            multi_ranges_hist: (0..RANGE_BUCKETS)
-                .map(|b| self.0.multi_hist[b].load(Ordering::Relaxed))
-                .collect(),
-        }
+        TraceStats { ops }
     }
 
-    /// The most recent `n` events, oldest first.
-    pub fn recent_events(&self, n: usize) -> Vec<TraceEvent> {
-        let ring = self.0.ring.lock().unwrap();
-        let skip = ring.events.len().saturating_sub(n);
-        ring.events.iter().skip(skip).cloned().collect()
-    }
-
-    /// Serializes counters, histograms, and buffered events as a JSON
-    /// object (the `--trace-json` export; see `docs/LANGUAGE.md`).
-    pub fn to_json(&self, label: &str) -> String {
+    /// Serializes counters, histograms, and the wire spans of `spans`
+    /// as a JSON object (the `--trace-json` export; see
+    /// `docs/LANGUAGE.md`).
+    pub fn to_json(&self, label: &str, spans: &SpanSnapshot) -> String {
         let stats = self.snapshot();
         let mut ops = Vec::new();
         for o in &stats.ops {
@@ -496,21 +411,20 @@ impl TraceHandle {
                 hist.join(",")
             ));
         }
-        let events: Vec<String> = self
-            .recent_events(usize::MAX)
-            .iter()
-            .map(|e| {
+        let events: Vec<String> = spans
+            .wire()
+            .map(|w| {
                 format!(
                     "{{\"seq\":{},\"op\":\"{}\",\"detail\":\"{}\",\"outcome\":\"{}\",\"ns\":{},\
                      \"ts_ns\":{},\"trace\":{},\"span\":{}}}",
-                    e.seq,
-                    e.op.name(),
-                    e.detail.replace('\\', "\\\\").replace('"', "\\\""),
-                    e.outcome.name(),
-                    e.nanos,
-                    e.ts_ns,
-                    e.trace,
-                    e.span
+                    w.id,
+                    w.name,
+                    w.detail.replace('\\', "\\\\").replace('"', "\\\""),
+                    w.outcome.name(),
+                    w.dur_ns,
+                    w.start_ns,
+                    w.trace,
+                    w.parent
                 )
             })
             .collect();
@@ -519,42 +433,31 @@ impl TraceHandle {
              \"ops\":[{}],\"events\":[{}]}}",
             label,
             self.is_enabled(),
-            stats.events_dropped,
+            spans.dropped,
             ops.join(","),
             events.join(",")
         )
     }
 
-    /// Feeds one externally-observed event into the counters,
-    /// histograms, and ring, exactly as a live traced call would.
-    ///
-    /// This is how offline tools (e.g. `duel-replay`) reuse the stats
-    /// machinery over a capture file instead of a live target.
-    pub fn record_event(&self, op: TraceOp, detail: String, outcome: TraceOutcome, nanos: u64) {
-        self.record(op, detail, outcome, nanos, Attribution::NONE);
-    }
-
-    /// Records one vectored read of `nranges` ranges: the normal
-    /// [`TraceOp::MultiRead`] counters plus the ranges-per-call
-    /// histogram.
-    pub fn record_multi(&self, nranges: usize, detail: String, outcome: TraceOutcome, nanos: u64) {
-        self.record_multi_at(nranges, detail, outcome, nanos, Attribution::NONE);
-    }
-
-    fn record_multi_at(
+    /// Records one finished call of `op` that started at `start_ns`
+    /// and took `nanos`: bumps its op's counters and latency histogram
+    /// and, when `spans` is recording, adds a `Wire` span for it under
+    /// the current span with the same latency. Offline tools (e.g.
+    /// `duel-replay`) rebuild a session's telemetry from a capture this
+    /// way; [`TraceTarget`] takes the same two steps around a live
+    /// call, with the span open while the call runs.
+    pub fn record(
         &self,
-        nranges: usize,
-        detail: String,
+        spans: &SpanContext,
+        op: TraceOp,
+        detail: impl FnOnce() -> String,
         outcome: TraceOutcome,
+        start_ns: u64,
         nanos: u64,
-        at: Attribution,
     ) {
-        let bucket = (usize::BITS - 1 - nranges.max(1).leading_zeros()) as usize;
-        self.0.multi_hist[bucket.min(RANGE_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-        self.0
-            .multi_ranges
-            .fetch_add(nranges as u64, Ordering::Relaxed);
-        self.record(TraceOp::MultiRead, detail, outcome, nanos, at);
+        let span = spans.push_at(SpanKind::Wire, op.name(), detail, start_ns);
+        spans.finish(span, start_ns + nanos, outcome);
+        self.count(op, outcome, nanos);
     }
 
     /// Wire turns recorded so far: scalar reads plus vectored reads
@@ -564,14 +467,7 @@ impl TraceHandle {
         self.calls(TraceOp::GetBytes) + self.calls(TraceOp::MultiRead)
     }
 
-    fn record(
-        &self,
-        op: TraceOp,
-        detail: String,
-        outcome: TraceOutcome,
-        nanos: u64,
-        at: Attribution,
-    ) {
+    fn count(&self, op: TraceOp, outcome: TraceOutcome, nanos: u64) {
         let i = op.index();
         self.0.calls[i].fetch_add(1, Ordering::Relaxed);
         if matches!(outcome, TraceOutcome::Fault | TraceOutcome::Transient) {
@@ -580,52 +476,6 @@ impl TraceHandle {
         self.0.nanos[i].fetch_add(nanos, Ordering::Relaxed);
         let bucket = (64 - nanos.max(1).leading_zeros() as usize - 1).min(HIST_BUCKETS - 1);
         self.0.hist[i * HIST_BUCKETS + bucket].fetch_add(1, Ordering::Relaxed);
-        let seq = self.0.seq.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.0.ring.lock().unwrap();
-        if ring.events.len() >= ring.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(TraceEvent {
-            seq,
-            op,
-            detail,
-            outcome,
-            nanos,
-            ts_ns: at.ts_ns,
-            trace: at.trace,
-            span: at.span,
-        });
-    }
-}
-
-/// Causal coordinates of one recorded event: where on the span
-/// timeline it happened and which span caused it.
-#[derive(Clone, Copy, Debug)]
-struct Attribution {
-    ts_ns: u64,
-    trace: u64,
-    span: u64,
-}
-
-impl Attribution {
-    const NONE: Attribution = Attribution {
-        ts_ns: 0,
-        trace: 0,
-        span: 0,
-    };
-
-    /// Reads the current attribution off a span context (all-zero when
-    /// spans are disabled, so unattributed events stay recognizable).
-    fn current(spans: &SpanContext) -> Attribution {
-        if !spans.is_enabled() {
-            return Attribution::NONE;
-        }
-        Attribution {
-            ts_ns: spans.now_ns(),
-            trace: spans.current_trace(),
-            span: spans.current(),
-        }
     }
 }
 
@@ -643,30 +493,37 @@ pub struct TraceTarget<T: Target> {
     label: &'static str,
 }
 
-/// Default ring-buffer capacity (events kept for `.trace dump`).
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
 impl<T: Target> TraceTarget<T> {
-    /// Wraps `inner` with a fresh, disabled handle and the default ring
-    /// capacity.
+    /// Wraps `inner` with a fresh, disabled handle and span context.
     pub fn new(inner: T) -> TraceTarget<T> {
         TraceTarget::with_label(inner, "trace")
     }
 
     /// Wraps `inner` under a layer label (used when stacking several
     /// trace layers, e.g. `"session"` above the cache and `"wire"`
-    /// below it).
+    /// below it), with a fresh handle and span context.
+    pub fn with_label(inner: T, label: &'static str) -> TraceTarget<T> {
+        TraceTarget::with_handles(inner, label, TraceHandle::new(), SpanContext::default())
+    }
+
+    /// Wraps `inner` around an existing handle and span context — how a
+    /// session keeps one set of counters and one timeline across the
+    /// towers it builds.
     ///
-    /// Construction installs a fresh [`SpanContext`] into the whole
-    /// stack below (via [`Target::set_span_context`]); since towers
-    /// are built inside-out, the outermost trace layer's context wins
-    /// and every layer shares one timeline.
-    pub fn with_label(mut inner: T, label: &'static str) -> TraceTarget<T> {
-        let spans = SpanContext::new(crate::span::DEFAULT_SPAN_CAPACITY);
+    /// Construction installs `spans` into the whole stack below (via
+    /// [`Target::set_span_context`]); since towers are built
+    /// inside-out, the outermost trace layer's context wins and every
+    /// layer shares one timeline.
+    pub fn with_handles(
+        mut inner: T,
+        label: &'static str,
+        handle: TraceHandle,
+        spans: SpanContext,
+    ) -> TraceTarget<T> {
         inner.set_span_context(&spans);
         TraceTarget {
             inner,
-            handle: TraceHandle::new(DEFAULT_RING_CAPACITY),
+            handle,
             spans,
             label,
         }
@@ -714,7 +571,7 @@ impl<T: Target> crate::Layer for TraceTarget<T> {
         &mut self.inner
     }
 
-    /// Records one call. Skips *everything* (clock, counters, event)
+    /// Records one call. Skips *everything* (clock, counters, span)
     /// when tracing is off — the disabled cost is one relaxed load.
     #[inline(always)]
     fn call(&mut self, op: Op<'_, '_>) -> Reply {
@@ -728,12 +585,15 @@ impl<T: Target> crate::Layer for TraceTarget<T> {
         if let Op::GetBytesMulti(ranges) = op {
             return Reply::Multi(self.traced_multi(ranges));
         }
-        let detail = CaptureCall::of(&op).detail();
-        let at = Attribution::current(&self.spans);
-        let start = Instant::now();
+        let start = self.spans.now_ns();
+        let span = self.spans.push_at(
+            SpanKind::Wire,
+            kind.name(),
+            || CaptureCall::of(&op).detail(),
+            start,
+        );
         let reply = op.apply(&mut self.inner);
-        let nanos = start.elapsed().as_nanos() as u64;
-        self.handle.record(kind, detail, reply.outcome(), nanos, at);
+        self.charge(kind, span, start, self.spans.now_ns(), reply.outcome());
         reply
     }
 
@@ -756,47 +616,44 @@ impl<T: Target> crate::Layer for TraceTarget<T> {
         let c = self.inner.prefetch_poll()?;
         // The window's wire read happened below the cache (at submit
         // when synchronous, on the actor when pipelined), so this layer
-        // never saw it as a get_bytes_multi. Record the completed
-        // window as one MultiRead here — in both modes — so
-        // `wire_turns()` counts every turn exactly once regardless of
-        // how the tower executed it.
+        // never saw it as a get_bytes_multi. Count the completed window
+        // as one MultiRead here — in both modes — so `wire_turns()`
+        // counts every turn exactly once regardless of how the tower
+        // executed it. Its wire span, with the per-page children only
+        // the cache knows, was recorded by the cache with the same
+        // latency.
         if c.ranges > 0 && self.handle.is_enabled() {
-            let outcome = if !c.failed_pages.is_empty() {
-                TraceOutcome::Fault
-            } else {
-                TraceOutcome::Ok
-            };
-            self.handle.record_multi(
-                c.ranges as usize,
-                format!(
-                    "window {} pages, {}b{}",
-                    c.ranges,
-                    c.bytes,
-                    if c.was_async { ", pipelined" } else { "" }
-                ),
-                outcome,
-                c.wait_ns,
-            );
+            self.handle
+                .count(TraceOp::MultiRead, c.outcome(), c.wait_ns);
         }
         Some(c)
     }
 }
 
 impl<T: Target> TraceTarget<T> {
-    /// A vectored read is the one wire op with visible fan-out: it
-    /// opens a parent span for the batch and records one child per
-    /// range, so the export shows exactly what the turn carried.
+    /// Closes a traced call's wire span and charges its op's counters,
+    /// with the one latency `end - start` in both.
+    fn charge(&self, op: TraceOp, span: u64, start: u64, end: u64, outcome: TraceOutcome) {
+        self.spans.finish(span, end, outcome);
+        self.handle.count(op, outcome, end.saturating_sub(start));
+    }
+
+    /// A vectored read is the one wire op with visible fan-out: its
+    /// wire span gets one `range` child per range, so the export shows
+    /// exactly what the turn carried.
     fn traced_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
         let n = ranges.len();
         let total: usize = ranges.iter().map(|r| r.buf.len()).sum();
-        let multi_span = self.spans.push(SpanKind::Wire, "multi_read", || {
-            format!("{n} ranges, {total}b")
-        });
-        let mut at = Attribution::current(&self.spans);
-        let start = Instant::now();
+        let start = self.spans.now_ns();
+        let span = self.spans.push_at(
+            SpanKind::Wire,
+            TraceOp::MultiRead.name(),
+            || format!("{n} ranges, {total}b"),
+            start,
+        );
         let results = self.inner.get_bytes_multi(ranges);
-        let nanos = start.elapsed().as_nanos() as u64;
-        if multi_span != 0 {
+        let end = self.spans.now_ns();
+        if span != 0 {
             for (r, res) in ranges.iter().zip(&results) {
                 let outcome = TraceOutcome::of_result(res);
                 let (addr, len) = (r.addr, r.buf.len());
@@ -804,14 +661,9 @@ impl<T: Target> TraceTarget<T> {
                     format!("0x{addr:x}+{len} {}", outcome.name())
                 });
             }
-            self.spans.pop(multi_span);
-            // The batch event is attributed to the batch span itself —
-            // its parent chain still leads to the causing eval node.
-            at.span = multi_span;
         }
         let outcome = TraceOutcome::of_results(&results);
-        self.handle
-            .record_multi_at(n, format!("{n} ranges, {total}b"), outcome, nanos, at);
+        self.charge(TraceOp::MultiRead, span, start, end, outcome);
         results
     }
 }
@@ -821,22 +673,29 @@ mod tests {
     use super::*;
     use crate::scenario;
 
+    /// A trace layer with both its counters and its span timeline on.
+    fn traced() -> TraceTarget<crate::SimTarget> {
+        let t = TraceTarget::new(scenario::scan_array());
+        t.handle().set_enabled(true);
+        t.spans().set_enabled(true);
+        t
+    }
+
     #[test]
     fn disabled_tracing_records_nothing() {
         let mut t = TraceTarget::new(scenario::scan_array());
+        t.spans().set_enabled(true);
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];
         t.get_bytes(x.addr, &mut buf).unwrap();
         let s = t.handle().snapshot();
         assert_eq!(s.total_calls(), 0);
-        assert_eq!(s.events_held, 0);
-        assert!(t.handle().recent_events(10).is_empty());
+        assert_eq!(t.spans().snapshot().wire().count(), 0);
     }
 
     #[test]
     fn enabled_tracing_counts_calls_outcomes_and_latency() {
-        let mut t = TraceTarget::new(scenario::scan_array());
-        t.handle().set_enabled(true);
+        let mut t = traced();
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];
         t.get_bytes(x.addr, &mut buf).unwrap();
@@ -852,44 +711,61 @@ mod tests {
         // Histogram holds exactly the recorded calls.
         let hist_total: u64 = s.op(TraceOp::GetBytes).hist.iter().sum();
         assert_eq!(hist_total, 3);
-        let events = t.handle().recent_events(10);
+        // One wire span per call, with the latency the counters got.
+        let snap = t.spans().snapshot();
+        let events: Vec<_> = snap.wire().collect();
         assert_eq!(events.len(), 5);
         assert_eq!(events[4].outcome, TraceOutcome::NotFound);
+        assert_eq!(events[4].op(), Some(TraceOp::GetVariable));
         assert!(events[2].detail.starts_with("0x"), "{:?}", events[2]);
+        let read_ns: u64 = events
+            .iter()
+            .filter(|e| e.op() == Some(TraceOp::GetBytes))
+            .map(|e| e.dur_ns)
+            .sum();
+        assert_eq!(read_ns, s.op(TraceOp::GetBytes).total_ns);
     }
 
     #[test]
     fn ring_buffer_is_bounded_and_keeps_newest() {
-        let mut t = TraceTarget::new(scenario::scan_array());
-        // Shrink the ring via a fresh handle-backed target.
-        t.handle.0.ring.lock().unwrap().capacity = 4;
-        t.handle().set_enabled(true);
+        let mut t = traced();
+        t.spans().set_capacity(4);
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];
         for i in 0..10u64 {
             t.get_bytes(x.addr + i * 4, &mut buf).unwrap();
         }
-        let s = t.handle().snapshot();
-        assert_eq!(s.events_held, 4);
-        assert_eq!(s.events_dropped, 7); // 11 events total (1 lookup + 10 reads)
-        let events = t.handle().recent_events(100);
+        let snap = t.spans().snapshot();
+        assert_eq!(snap.spans.len(), 4);
+        assert_eq!(snap.dropped, 7); // 11 calls total (1 lookup + 10 reads)
+        let events: Vec<_> = snap.wire().collect();
         assert_eq!(events.len(), 4);
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(events.last().unwrap().seq, 10);
+        assert!(events.windows(2).all(|w| w[0].id < w[1].id));
+        assert_eq!(events.last().unwrap().id, 11);
+        // The counters are not bounded by the ring.
+        assert_eq!(t.handle().snapshot().total_calls(), 11);
     }
 
     #[test]
-    fn clear_resets_counters_and_events() {
-        let mut t = TraceTarget::new(scenario::scan_array());
-        t.handle().set_enabled(true);
+    fn clear_resets_counters() {
+        let mut t = traced();
         let mut buf = [0u8; 4];
         let x = t.get_variable("x").unwrap();
         t.get_bytes(x.addr, &mut buf).unwrap();
         t.handle().clear();
         let s = t.handle().snapshot();
         assert_eq!(s.total_calls(), 0);
-        assert_eq!(s.events_held, 0);
+        assert!(s.ops.iter().all(|o| o.hist.iter().all(|&b| b == 0)));
         assert!(t.handle().is_enabled(), "clear must not disable tracing");
+    }
+
+    #[test]
+    fn codes_are_positions_and_names_round_trip() {
+        for (i, op) in TRACE_OPS.into_iter().enumerate() {
+            assert_eq!(op.index(), i);
+            assert_eq!(TraceOp::from_name(op.name()), Some(op));
+        }
+        assert_eq!(TraceOutcome::NotFound.index(), 3);
     }
 
     #[test]
@@ -923,15 +799,43 @@ mod tests {
 
     #[test]
     fn json_export_has_the_expected_shape() {
-        let mut t = TraceTarget::new(scenario::scan_array());
-        t.handle().set_enabled(true);
+        let mut t = traced();
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];
         t.get_bytes(x.addr, &mut buf).unwrap();
-        let json = t.handle().to_json("wire");
+        let json = t.handle().to_json("wire", &t.spans().snapshot());
         assert!(json.contains("\"label\":\"wire\""), "{json}");
         assert!(json.contains("\"op\":\"get_bytes\""), "{json}");
         assert!(json.contains("\"hist_log2_ns\""), "{json}");
-        assert!(json.contains("\"events\""), "{json}");
+        assert!(json.contains("\"events\":[{\"seq\":"), "{json}");
+        assert!(json.contains("\"detail\":\"x\""), "{json}");
+    }
+
+    #[test]
+    fn shared_handles_span_rebuilt_towers() {
+        let (handle, spans) = (TraceHandle::new(), SpanContext::default());
+        handle.set_enabled(true);
+        spans.set_enabled(true);
+        for _ in 0..2 {
+            let mut t = TraceTarget::with_handles(
+                scenario::scan_array(),
+                "session",
+                handle.clone(),
+                spans.clone(),
+            );
+            assert!(t.get_variable("x").is_some());
+        }
+        assert_eq!(handle.calls(TraceOp::GetVariable), 2);
+        assert_eq!(spans.snapshot().wire().count(), 2);
+        assert_eq!(
+            handle.snapshot().wire_counters(),
+            vec![
+                ("wire.get_variable.calls".to_string(), 2),
+                (
+                    "wire.get_variable.ns".to_string(),
+                    handle.snapshot().op(TraceOp::GetVariable).total_ns
+                ),
+            ]
+        );
     }
 }

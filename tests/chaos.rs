@@ -123,11 +123,11 @@ proptest! {
         let mut r = Repl::new();
         let mut log = String::new();
         step(&mut r, ".set timeout 40", &mut log)?;
-        // Size both rings so nothing is evicted mid-campaign: coverage
-        // is only guaranteed for events whose spans are still buffered.
+        // Size the ring so nothing is evicted mid-campaign: coverage
+        // is only guaranteed for wire spans whose parents are still
+        // buffered.
         step(&mut r, ".set trace_buf 65536", &mut log)?;
         step(&mut r, ".trace on", &mut log)?;
-        step(&mut r, ".trace spans on", &mut log)?;
         let chaos = r.chaos_handle().expect("sim backend has a chaos gate");
         chaos.load_script(chaos.campaign(seed, events, span));
 
@@ -138,9 +138,13 @@ proptest! {
         }
 
         let snap = r.span_context().snapshot();
-        let evs = r.trace_handle().recent_events(usize::MAX);
-        let (ok, total) = attribution_coverage(&snap, &evs);
+        let (ok, total) = attribution_coverage(&snap);
         prop_assert!(total > 0, "campaign recorded no wire events:\n{}", log);
+        prop_assert_eq!(
+            total as u64,
+            r.trace_handle().snapshot().total_calls(),
+            "a traced call left no wire span:\n{}", log
+        );
         prop_assert_eq!(
             ok, total,
             "events lost their ancestor chain under chaos:\n{}", log
@@ -175,7 +179,6 @@ fn breaker_fast_fails_still_attribute_to_the_causing_eval() {
     r.handle(".set timeout 40", &mut out);
     r.handle(".set trace_buf 65536", &mut out);
     r.handle(".trace on", &mut out);
-    r.handle(".trace spans on", &mut out);
     r.handle(".chaos kill", &mut out);
     // Default supervision trips after 3 consecutive transient
     // failures; uncached ranges force every eval onto the dead wire.
@@ -204,9 +207,9 @@ fn breaker_fast_fails_still_attribute_to_the_causing_eval() {
             "mark {m:?} does not chain to an eval root"
         );
     }
-    let evs = r.trace_handle().recent_events(usize::MAX);
-    let (ok, total) = attribution_coverage(&snap, &evs);
+    let (ok, total) = attribution_coverage(&snap);
     assert!(total > 0);
+    assert_eq!(total as u64, r.trace_handle().snapshot().total_calls());
     assert_eq!(ok, total, "failing wire events lost their attribution");
 }
 
@@ -219,7 +222,6 @@ fn multiread_children_sum_to_the_batch_under_prefetch() {
     let mut out = String::new();
     r.handle(".set trace_buf 65536", &mut out);
     r.handle(".trace on", &mut out);
-    r.handle(".trace spans on", &mut out);
     r.handle(".set prefetch on", &mut out);
     r.handle("#/(head-->next)", &mut out);
     r.handle("x[..30] >? 5", &mut out);

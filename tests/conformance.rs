@@ -20,8 +20,8 @@
 use duel::ctype::Prim;
 use duel::target::{
     scenario, AsyncTarget, CachedTarget, CallValue, Capture, FaultConfig, FaultTarget, ReadRange,
-    RecordTarget, ReplayMode, ReplayTarget, RetryTarget, SharedSink, SupervisedTarget, Target,
-    TraceOp, TraceTarget,
+    RecordTarget, ReplayMode, ReplayTarget, RetryTarget, SharedSink, SpanContext, SupervisedTarget,
+    Target, TraceOp, TraceTarget,
 };
 
 /// The methods under test.
@@ -173,19 +173,21 @@ fn recorder<T: Target>(t: &mut Production<T>) -> &mut RecordTarget<T> {
 /// call; returns the reply and the ops the trace layer recorded.
 fn traced_run<T: Target>(m: Method, t: &mut Production<T>) -> (String, Vec<TraceOp>) {
     let x = m.setup(t);
-    let handle = t.handle();
+    let (handle, spans) = (t.handle(), t.spans());
     handle.set_enabled(true);
+    spans.set_enabled(true);
     let reply = m.run(t, x);
     handle.set_enabled(false);
-    let ops = handle
-        .recent_events(usize::MAX)
-        .iter()
-        .map(|e| e.op)
-        .collect();
-    (reply, ops)
+    spans.set_enabled(false);
+    (reply, wire_ops(&spans))
 }
 
-/// The measured call leaves exactly one trace event of the right kind.
+/// The ops of the wire spans on a timeline, oldest first.
+fn wire_ops(spans: &SpanContext) -> Vec<TraceOp> {
+    spans.snapshot().wire().map(|w| w.op().unwrap()).collect()
+}
+
+/// The measured call leaves exactly one wire span of the right kind.
 fn check_trace(m: Method, tower: &str, ops: &[TraceOp]) {
     match m.trace_op() {
         Some(op) => assert_eq!(ops, &[op], "{m:?} trace through {tower}"),
@@ -208,14 +210,9 @@ fn the_trace_layer_alone_records_one_event_per_call() {
         let mut t = TraceTarget::new(scenario::combined());
         let x = m.setup(&mut t);
         t.handle().set_enabled(true);
+        t.spans().set_enabled(true);
         assert_eq!(m.run(&mut t, x), bare(m), "{m:?} through trace");
-        let ops: Vec<TraceOp> = t
-            .handle()
-            .recent_events(usize::MAX)
-            .iter()
-            .map(|e| e.op)
-            .collect();
-        check_trace(m, "trace", &ops);
+        check_trace(m, "trace", &wire_ops(&t.spans()));
     }
 }
 

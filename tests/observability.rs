@@ -203,7 +203,7 @@ fn trace_handle_is_discoverable_through_the_full_tower() {
 // PR-8: causal span tracing
 // ---------------------------------------------------------------------
 
-use duel_target::{attribution_coverage, SpanKind};
+use duel_target::{attribution_coverage, SpanKind, TraceOp};
 
 /// Builds the standard traced tower and runs one span-traced eval.
 fn traced_eval(expr: &str) -> duel_target::TraceTarget<CachedTarget<duel_target::SimTarget>> {
@@ -223,34 +223,38 @@ fn traced_eval(expr: &str) -> duel_target::TraceTarget<CachedTarget<duel_target:
 fn spans_attribute_every_wire_event_through_the_tower() {
     let t = traced_eval("x[..50] >? 5");
     let snap = t.spans().snapshot();
-    let events = t.handle().recent_events(usize::MAX);
-    let (ok, total) = attribution_coverage(&snap, &events);
+    let (ok, total) = attribution_coverage(&snap);
     assert!(total > 0, "the scan must touch the wire");
-    assert_eq!(ok, total, "every event must chain to the eval root");
+    assert_eq!(
+        total as u64,
+        t.handle().snapshot().total_calls(),
+        "one wire span per traced call"
+    );
+    assert_eq!(ok, total, "every wire span must chain to the eval root");
     assert!(snap.open.is_empty(), "span stack balanced after eval");
     // The chain shape is eval → node*|display → wire op: every memory
     // read is caused either by a generator (Node span) or by value
     // rendering (Display span, the profiler's display pseudo-node).
     // Symbol and type lookups fire during *parsing* and attribute
     // straight to the eval root — there is no generator running yet.
-    for e in events
-        .iter()
-        .filter(|e| matches!(e.op.name(), "get_bytes" | "get_bytes_multi"))
+    for w in snap
+        .wire()
+        .filter(|w| matches!(w.op(), Some(TraceOp::GetBytes | TraceOp::MultiRead)))
     {
-        let chain = snap.ancestry(e.span).unwrap();
+        let chain = snap.ancestry(w.parent).unwrap();
         assert!(
             chain
                 .iter()
                 .any(|r| matches!(r.kind, SpanKind::Node | SpanKind::Display)),
-            "event {e:?} skipped the evaluator"
+            "wire span {w:?} skipped the evaluator"
         );
     }
 }
 
-/// The reset audit (ISSUE-8 satellite): `.trace clear` and backend
-/// swaps must drop counters, histograms, the event ring, and the span
-/// ring *together* — a clear that leaves old latency buckets behind
-/// would silently skew every later percentile.
+/// The reset audit: `.trace clear` must drop counters, histograms and
+/// the span ring (wire spans included) *together* — a clear that
+/// leaves old latency buckets behind would silently skew every later
+/// percentile.
 #[test]
 fn clear_leaves_no_stale_latency_buckets_or_spans() {
     let t = traced_eval("x[..50] >? 5");
@@ -267,7 +271,6 @@ fn clear_leaves_no_stale_latency_buckets_or_spans() {
 
     let after = t.handle().snapshot();
     assert_eq!(after.total_calls(), 0);
-    assert_eq!(after.events_held, 0);
     for o in &after.ops {
         assert!(
             o.hist.iter().all(|&b| b == 0),
@@ -332,7 +335,6 @@ fn repl_run(r: &mut duel_cli::Repl, line: &str) -> String {
 fn meta_queries_agree_with_the_top_table() {
     let mut r = duel_cli::Repl::new();
     repl_run(&mut r, ".trace on");
-    repl_run(&mut r, ".trace spans on");
     repl_run(&mut r, "x[..20] >? 5");
     repl_run(&mut r, "hash[..10].scope");
 
@@ -394,4 +396,27 @@ fn meta_queries_agree_with_the_top_table() {
     let q: u64 = self_sum.trim().parse().expect("self_ns sum");
     let agg: u64 = snap.spans.aggregate().iter().map(|a| a.self_ns).sum();
     assert_eq!(q, agg, "exclusive-time attribution diverged");
+}
+
+/// The REPL builds every tower around one session trace handle, so
+/// `.trace`'s per-op counts survive a backend swap.
+#[test]
+fn trace_counts_survive_a_scenario_switch() {
+    let mut r = duel_cli::Repl::new();
+    repl_run(&mut r, ".trace on");
+    repl_run(&mut r, "x[..10]");
+    let reads = |r: &mut duel_cli::Repl| {
+        repl_run(r, ".trace")
+            .lines()
+            .find(|l| l.trim_start().starts_with("get_bytes "))
+            .and_then(|l| l.split_whitespace().nth(1)?.parse::<u64>().ok())
+    };
+    let before = reads(&mut r).expect("x[..10] reads memory");
+    assert!(before > 0);
+    repl_run(&mut r, ".scenario scan");
+    assert_eq!(
+        reads(&mut r),
+        Some(before),
+        "`.scenario` dropped the counts"
+    );
 }
